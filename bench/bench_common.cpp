@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -14,7 +16,6 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "sim/campaign.h"
-#include "sim/traffic.h"
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
@@ -84,18 +85,52 @@ void add_standard_flags(Cli& cli) {
             "that timed out or threw");
 }
 
+namespace {
+
+// Reads a microsecond flag as TimePs. us() is a plain cast: a value beyond
+// the TimePs range wraps and a non-zero value below 1 ps truncates to 0, so
+// both are rejected here rather than surfacing later as a nonsense time.
+TimePs read_time_flag(const Cli& cli, const std::string& name) {
+  const double v = cli.get_double(name);
+  const double ps = std::fabs(v) * static_cast<double>(kPsPerUs);
+  std::ostringstream got;
+  got << v;
+  D2NET_REQUIRE(ps < 0x1p63, "--" + name + " is beyond the simulated-time range "
+                             "(~9.2e12 us), got " + got.str());
+  D2NET_REQUIRE(v == 0.0 || us(v) != 0,
+                "--" + name + " must be 0 or at least 1 ps (1e-6 us), got " + got.str());
+  return us(v);
+}
+
+}  // namespace
+
+int read_int_flag(const Cli& cli, const std::string& name, int min_value, int max_value) {
+  const std::int64_t v = cli.get_int(name);
+  D2NET_REQUIRE(v >= min_value && v <= max_value,
+                "--" + name + " must be in [" + std::to_string(min_value) + ", " +
+                    std::to_string(max_value) + "], got " + std::to_string(v));
+  return static_cast<int>(v);
+}
+
 BenchOptions read_standard_flags(const Cli& cli, int workers) {
   D2NET_REQUIRE(workers >= 1, "worker count must be >= 1");
   BenchOptions opts;
   opts.full = cli.get_bool("full");
-  opts.duration = us(cli.get_double("duration-us"));
-  opts.warmup = us(cli.get_double("warmup-us"));
+  opts.duration = read_time_flag(cli, "duration-us");
+  opts.warmup = read_time_flag(cli, "warmup-us");
+  if (opts.full) {
+    // The paper simulates 200 us with a 20 us warm-up; scale up unless the
+    // user overrode the defaults.
+    if (opts.duration == us(16.0)) opts.duration = us(50.0);
+    if (opts.warmup == us(4.0)) opts.warmup = us(10.0);
+  }
+  D2NET_REQUIRE(opts.duration > 0, "--duration-us must be > 0");
+  D2NET_REQUIRE(opts.warmup >= 0 && opts.warmup < opts.duration,
+                "--warmup-us must be >= 0 and below --duration-us");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opts.csv = cli.get_bool("csv");
-  opts.jobs = static_cast<int>(cli.get_int("jobs"));
-  D2NET_REQUIRE(opts.jobs >= 0, "--jobs must be >= 0");
-  opts.shards = static_cast<int>(cli.get_int("shards"));
-  D2NET_REQUIRE(opts.shards >= 1, "--shards must be >= 1");
+  opts.jobs = read_int_flag(cli, "jobs", 0);
+  opts.shards = read_int_flag(cli, "shards", 1);
   // With explicit --jobs the user overrides the auto-division; flag the
   // combination that lands shards x jobs threads on fewer cores. --jobs 0
   // never oversubscribes solo (SweepRunner divides the machine by shards),
@@ -128,9 +163,8 @@ BenchOptions read_standard_flags(const Cli& cli, int workers) {
   }
   opts.json_path = cli.get_string("json");
   opts.metrics = cli.get_bool("metrics");
-  const double sample_us = cli.get_double("metrics-sample-us");
-  D2NET_REQUIRE(sample_us > 0.0, "--metrics-sample-us must be > 0");
-  opts.metrics_sample = us(sample_us);
+  opts.metrics_sample = read_time_flag(cli, "metrics-sample-us");
+  D2NET_REQUIRE(opts.metrics_sample > 0, "--metrics-sample-us must be > 0");
   const std::string engine = cli.get_string("engine");
   if (engine == "packet") {
     opts.engine = SimEngine::kPacket;
@@ -142,40 +176,27 @@ BenchOptions read_standard_flags(const Cli& cli, int workers) {
   }
   opts.flow_bytes = cli.get_int("flow-bytes");
   D2NET_REQUIRE(opts.flow_bytes > 0, "--flow-bytes must be > 0");
-  const double flow_interval_us = cli.get_double("flow-interval-us");
-  D2NET_REQUIRE(flow_interval_us >= 0.0, "--flow-interval-us must be >= 0");
-  opts.flow_interval = us(flow_interval_us);
-  opts.flow_active = static_cast<int>(cli.get_int("flow-active"));
-  D2NET_REQUIRE(opts.flow_active >= 1, "--flow-active must be >= 1");
+  opts.flow_interval = read_time_flag(cli, "flow-interval-us");
+  D2NET_REQUIRE(opts.flow_interval >= 0, "--flow-interval-us must be >= 0");
+  opts.flow_active = read_int_flag(cli, "flow-active", 1);
   opts.journal_dir = cli.get_string("journal");
   opts.resume = cli.get_bool("resume");
   D2NET_REQUIRE(!opts.resume || !opts.journal_dir.empty(),
                 "--resume requires --journal=<dir>");
   opts.point_timeout_s = cli.get_double("point-timeout");
   D2NET_REQUIRE(opts.point_timeout_s >= 0.0, "--point-timeout must be >= 0");
-  opts.point_retries = static_cast<int>(cli.get_int("point-retries"));
-  D2NET_REQUIRE(opts.point_retries >= 0, "--point-retries must be >= 0");
-  if (opts.full) {
-    // The paper simulates 200 us with a 20 us warm-up; scale up unless the
-    // user overrode the defaults.
-    if (opts.duration == us(16.0)) opts.duration = us(50.0);
-    if (opts.warmup == us(4.0)) opts.warmup = us(10.0);
-  }
+  // sweep_options() adds the first attempt.
+  opts.point_retries =
+      read_int_flag(cli, "point-retries", 0, std::numeric_limits<int>::max() - 1);
   return opts;
 }
 
-Topology paper_slim_fly(bool full, bool ceil_p) {
-  return build_slim_fly(full ? 13 : 7, ceil_p ? SlimFlyP::kCeil : SlimFlyP::kFloor);
-}
-Topology paper_mlfm(bool full) { return build_mlfm(full ? 15 : 7); }
-Topology paper_oft(bool full) { return build_oft(full ? 12 : 6); }
-
 std::vector<SystemConfig> paper_systems(bool full) {
   std::vector<SystemConfig> out;
-  out.push_back({"SF p=fl", paper_slim_fly(full, false)});
-  out.push_back({"SF p=cl", paper_slim_fly(full, true)});
-  out.push_back({"MLFM", paper_mlfm(full)});
-  out.push_back({"OFT", paper_oft(full)});
+  out.push_back({"SF p=fl", build_slim_fly(full ? 13 : 7, SlimFlyP::kFloor)});
+  out.push_back({"SF p=cl", build_slim_fly(full ? 13 : 7, SlimFlyP::kCeil)});
+  out.push_back({"MLFM", build_mlfm(full ? 15 : 7)});
+  out.push_back({"OFT", build_oft(full ? 12 : 6)});
   return out;
 }
 
@@ -817,73 +838,6 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
   }
   if (report != nullptr) report->add_exchange(title, out, stats);
   return out;
-}
-
-std::vector<double> bench_uniform_loads() {
-  return {0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0};
-}
-
-std::vector<double> bench_adversarial_loads() {
-  return {0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0};
-}
-
-void run_adaptive_figure(const Topology& topo, const AdaptiveFigureSpec& spec,
-                         const BenchOptions& opts, BenchReport* report) {
-  const auto table = std::make_shared<const MinimalTable>(topo);
-  Rng rng(opts.seed);
-  const auto wc = make_worst_case(topo, *table, rng);
-  const UniformTraffic uni(topo.num_nodes());
-  const bool threshold = spec.strategy == RoutingStrategy::kUgalThreshold;
-
-  auto panel = [&](const std::string& subtitle,
-                   const std::function<UgalParams(std::size_t)>& make_params,
-                   const std::vector<std::string>& labels) {
-    for (const auto* pat : {static_cast<const TrafficPattern*>(&uni),
-                            static_cast<const TrafficPattern*>(wc.get())}) {
-      const bool is_uni = pat == &uni;
-      const auto& loads = is_uni ? bench_uniform_loads() : bench_adversarial_loads();
-      std::vector<SweepSeriesSpec> specs;
-      for (std::size_t v = 0; v < labels.size(); ++v) {
-        SweepSeriesSpec s;
-        s.label = labels[v];
-        s.topo = &topo;
-        s.table = table;
-        s.strategy = spec.strategy;
-        s.params = make_params(v);
-        s.pattern = pat;
-        s.loads = loads;
-        specs.push_back(std::move(s));
-      }
-      run_and_print_sweep(
-          spec.title + " — " + subtitle + (is_uni ? " — UNI" : " — WC"), specs, opts,
-          report);
-    }
-  };
-
-  {
-    std::vector<std::string> labels;
-    for (int ni : spec.ni_values) labels.push_back("nI=" + std::to_string(ni));
-    panel("vary nI (c=" + fmt(spec.fixed_c, 2) + ")",
-          [&](std::size_t v) {
-            UgalParams p = default_ugal_params(topo.kind(), threshold);
-            p.num_indirect = spec.ni_values[v];
-            p.c = spec.fixed_c;
-            return p;
-          },
-          labels);
-  }
-  {
-    std::vector<std::string> labels;
-    for (double c : spec.c_values) labels.push_back("c=" + fmt(c, 2));
-    panel("vary c (nI=" + std::to_string(spec.fixed_ni) + ")",
-          [&](std::size_t v) {
-            UgalParams p = default_ugal_params(topo.kind(), threshold);
-            p.num_indirect = spec.fixed_ni;
-            p.c = spec.c_values[v];
-            return p;
-          },
-          labels);
-  }
 }
 
 }  // namespace d2net::bench

@@ -1,13 +1,14 @@
 // Declarative campaign runner: one driver for the whole bench matrix.
 //
 // Reads a committed JSON spec (campaigns/*.json, schema in
-// docs/campaigns.md), expands it into the exact sweep/exchange work the
-// hand-written bench binaries construct in code, and executes it through
-// the shared machinery — SweepRunner (--jobs/--shards), the crash-safe
-// journal (--journal/--resume), per-point deadlines (--point-timeout) and
-// BenchReport --json output. A spec ported from a bench binary reproduces
-// that binary's --json byte-for-byte (scripts/ci.sh stage 6 enforces this
-// for fig6, fig13 and the transient-faults ablation).
+// docs/campaigns.md), expands it into sweep/exchange steps, and executes
+// them through the shared machinery — SweepRunner (--jobs/--shards), the
+// crash-safe journal (--journal/--resume), per-point deadlines
+// (--point-timeout) and BenchReport --json output. This is the only front
+// end for the paper's Figs. 6-13: scripts/ci.sh stage 6 diffs each of
+// their specs' --json against a committed golden under
+// tests/golden/campaigns/, and the transient-faults spec against
+// bench_ablation_transient_faults.
 //
 // The journal manifest additionally pins the spec text's FNV-1a hash:
 // editing a spec invalidates its journals, so a resumed campaign can never
@@ -99,8 +100,7 @@ int main(int argc, char** argv) {
   add_standard_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  const int workers = static_cast<int>(cli.get_int("workers"));
-  D2NET_REQUIRE(workers >= 1, "--workers must be >= 1");
+  const int workers = read_int_flag(cli, "workers", 1);
   BenchOptions opts = read_standard_flags(cli, workers);
   // Campaign mode defaults durable journaling on: the claim protocol (and
   // any long study worth journaling) assumes an acked point survives a
@@ -144,8 +144,7 @@ int main(int argc, char** argv) {
       wopts.worker_id = std::string("w") + std::to_string(::getpid());
     }
     wopts.lease_ttl = cli.get_double("lease-ttl");
-    wopts.shard_points = static_cast<int>(cli.get_int("shard-points"));
-    D2NET_REQUIRE(wopts.shard_points >= 0, "--shard-points must be >= 0");
+    wopts.shard_points = read_int_flag(cli, "shard-points", 0);
     opts.journal_worker = wopts.worker_id;
     return run_campaign_worker(spec, plan, opts, extra.str(), wopts);
   }

@@ -6,11 +6,11 @@
 # accidentally ordered), then an ASan+UBSan build that runs the
 # fault-injection and simulator-edge suites — the code paths that tear
 # down in-flight state mid-run and are therefore the likeliest source of
-# lifetime/indexing bugs — and finally an end-to-end kill/resume drill on a
-# real bench binary: journal a sweep, truncate the journal mid-file with a
-# torn final line (what a SIGKILL leaves behind), resume, and require the
-# resumed --json output to be byte-identical to an uninterrupted run (see
-# docs/durable_sweeps.md).
+# lifetime/indexing bugs — and finally an end-to-end kill/resume drill on
+# d2net_campaign running campaigns/fig6.json: journal a sweep, truncate the
+# journal mid-file with a torn final line (what a SIGKILL leaves behind),
+# resume, and require the resumed --json output to be byte-identical to an
+# uninterrupted run (see docs/durable_sweeps.md).
 #
 #
 # Stage 5 is a warn-only perf smoke: bench_micro_core --json against the
@@ -23,11 +23,13 @@
 # propagation, see docs/resilience.md) under TSan and ASan+UBSan.
 #
 # Stage 6 enforces the campaign porting contract (docs/campaigns.md): every
-# committed spec under campaigns/ must --dry-run clean, the specs ported
-# from bench binaries must reproduce those binaries' --json output
-# byte-for-byte (fig6, fig8's grid panels, fig13, transient_faults —
-# including the propagation sweep, whose convergence times also get a
-# warn-only +/-20% smoke against BENCH_convergence.json), and a mixed
+# committed spec under campaigns/ must --dry-run clean, the figure specs
+# (fig6-fig13) must reproduce their committed goldens under
+# tests/golden/campaigns/ byte-for-byte (generated from the per-figure
+# binaries those specs replaced), the transient_faults spec must reproduce
+# bench_ablation_transient_faults' --json byte-for-byte (including the
+# propagation sweep, whose convergence times also get a warn-only +/-20%
+# smoke against BENCH_convergence.json), and a mixed
 # load/fault/exchange campaign must survive a
 # simulated SIGKILL (journal truncated mid-file with a torn final line) and
 # resume to byte-identical output. It closes with the multi-worker chaos
@@ -76,11 +78,12 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # Flow-engine sweep under --jobs: each point is an independent FlowSim,
   # so a race can only come from the sweep fan-out sharing state it must
   # not (scratch buffers, tables, the journal writer).
-  cmake --build build-ci-tsan -j "$JOBS" --target bench_fig6_oblivious
+  cmake --build build-ci-tsan -j "$JOBS" --target d2net_campaign
   # Batched rate ticks: exact recompute past the knee walks a
   # network-spanning component per event, which TSan's slowdown turns
   # into tens of minutes; the thread structure under test is identical.
-  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/bench_fig6_oblivious \
+  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
+    --spec=campaigns/fig6.json \
     --engine=flow --flow-interval-us=0.2 --duration-us=2 --warmup-us=0.5 \
     --seed=3 --jobs=4 >/dev/null
 fi
@@ -110,12 +113,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_RESUME:-0}" != "1" ]]; then
-  echo "=== stage 4: crash/resume durability drill (bench_fig6_oblivious) ==="
-  cmake --build build-ci -j "$JOBS" --target bench_fig6_oblivious
-  BENCH=./build-ci/bench/bench_fig6_oblivious
+  echo "=== stage 4: crash/resume durability drill (campaigns/fig6.json) ==="
+  cmake --build build-ci -j "$JOBS" --target d2net_campaign
+  BENCH=./build-ci/bench/d2net_campaign
   WORK=build-ci/resume-drill
   rm -rf "$WORK" && mkdir -p "$WORK"
-  ARGS=(--duration-us=2 --warmup-us=0.5 --seed=3)
+  ARGS=(--spec=campaigns/fig6.json --duration-us=2 --warmup-us=0.5 --seed=3)
   # wall_seconds / events_per_second are genuine wall-clock measurements and
   # legitimately differ between runs; everything else must match exactly.
   normalize() { sed -E 's/"(wall_seconds|events_per_second)": [0-9.eE+-]+/"\1": X/g' "$1"; }
@@ -210,18 +213,16 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
-  echo "=== stage 6: declarative campaign drill (specs vs ported benches) ==="
+  echo "=== stage 6: declarative campaign drill (specs vs goldens) ==="
   cmake --build build-ci -j "$JOBS" --target d2net_campaign \
-    --target bench_fig6_oblivious --target bench_fig13_all_to_all \
-    --target bench_ablation_transient_faults \
-    --target bench_fig7_sf_adaptive --target bench_fig8_sf_adaptive_th \
-    --target bench_fig9_mlfm_adaptive --target bench_fig10_oft_adaptive \
-    --target bench_fig11_mlfm_adaptive_th --target bench_fig12_oft_adaptive_th
+    --target bench_ablation_transient_faults
   CAMPAIGN=./build-ci/bench/d2net_campaign
   WORK=build-ci/campaign-drill
+  GOLDEN=tests/golden/campaigns
   rm -rf "$WORK" && mkdir -p "$WORK"
   # --jobs=1 because bench_ablation_transient_faults runs serially by
-  # construction and the top-level "jobs" JSON field must agree.
+  # construction and the top-level "jobs" JSON field must agree; the
+  # goldens were generated with exactly these arguments.
   ARGS=(--duration-us=2 --warmup-us=0.5 --seed=3 --jobs=1)
   normalize() { sed -E 's/"(wall_seconds|events_per_second)": [0-9.eE+-]+/"\1": X/g' "$1"; }
 
@@ -230,41 +231,26 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
     "$CAMPAIGN" --spec="$spec" --dry-run >/dev/null
   done
 
-  # Porting contract: byte-identical --json from spec and binary.
-  ./build-ci/bench/bench_fig6_oblivious "${ARGS[@]}" \
-    --json="$WORK/fig6-bench.json" >/dev/null
-  "$CAMPAIGN" --spec=campaigns/fig6.json "${ARGS[@]}" \
-    --json="$WORK/fig6-spec.json" >/dev/null
-  diff <(normalize "$WORK/fig6-spec.json") <(normalize "$WORK/fig6-bench.json")
-
-  # fig13 at the committed 7680 B/pair is minutes of simulation; shrink the
-  # exchange identically on both sides for CI.
+  # Porting contract: each figure spec's normalized --json must equal its
+  # golden, generated from the per-figure binary the spec replaced (see
+  # docs/campaigns.md, "Goldens"). fig13 at the committed 7680 B/pair is
+  # minutes of simulation; its golden is the 256 B/pair exchange.
   sed 's/"bytes_per_pair": 7680/"bytes_per_pair": 256/' campaigns/fig13.json \
-    > "$WORK/fig13-small.json"
-  ./build-ci/bench/bench_fig13_all_to_all "${ARGS[@]}" --bytes-per-pair=256 \
-    --json="$WORK/fig13-bench.json" >/dev/null
-  "$CAMPAIGN" --spec="$WORK/fig13-small.json" "${ARGS[@]}" \
-    --json="$WORK/fig13-spec.json" >/dev/null
-  diff <(normalize "$WORK/fig13-spec.json") <(normalize "$WORK/fig13-bench.json")
+    > "$WORK/fig13.json"
+  for fig in fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13; do
+    spec="campaigns/$fig.json"
+    [[ "$fig" == fig13 ]] && spec="$WORK/fig13.json"
+    "$CAMPAIGN" --spec="$spec" "${ARGS[@]}" --json="$WORK/$fig-spec.json" >/dev/null
+    diff <(normalize "$WORK/$fig-spec.json") "$GOLDEN/$fig.json"
+  done
 
   ./build-ci/bench/bench_ablation_transient_faults "${ARGS[@]}" \
     --json="$WORK/tf-bench.json" >/dev/null
   "$CAMPAIGN" --spec=campaigns/transient_faults.json "${ARGS[@]}" \
     --json="$WORK/tf-spec.json" >/dev/null
   diff <(normalize "$WORK/tf-spec.json") <(normalize "$WORK/tf-bench.json")
-
-  # The adaptive panel benches (Figs. 7-12) all exercise the grid axis
-  # ("vary nI" / "vary c" panels) over their three topologies.
-  for pair in "fig7 bench_fig7_sf_adaptive" "fig8 bench_fig8_sf_adaptive_th" \
-              "fig9 bench_fig9_mlfm_adaptive" "fig10 bench_fig10_oft_adaptive" \
-              "fig11 bench_fig11_mlfm_adaptive_th" "fig12 bench_fig12_oft_adaptive_th"; do
-    read -r fig bin <<< "$pair"
-    ./build-ci/bench/"$bin" "${ARGS[@]}" --json="$WORK/$fig-bench.json" >/dev/null
-    "$CAMPAIGN" --spec="campaigns/$fig.json" "${ARGS[@]}" \
-      --json="$WORK/$fig-spec.json" >/dev/null
-    diff <(normalize "$WORK/$fig-spec.json") <(normalize "$WORK/$fig-bench.json")
-  done
-  echo "campaign porting contract OK: fig6-fig13/transient_faults byte-identical"
+  echo "campaign porting contract OK: fig6-fig13 match their goldens," \
+       "transient_faults matches its binary"
 
   # Warn-only convergence smoke: detection-to-consistency times of the
   # modeled control plane vs the committed reference, +/-20% band. The

@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,7 +34,8 @@ ParsedArg split_arg(const std::string& arg) {
 
 // Strict numeric parsing: the *entire* token must parse, so "--load=0.9o"
 // or "--duration=10us" fail loudly instead of silently truncating (or, for
-// strtod with a bad prefix, silently becoming 0).
+// strtod with a bad prefix, silently becoming 0). strtod also accepts
+// "nan"/"inf"; no flag gives them a meaning, so they are rejected too.
 
 std::int64_t parse_int_value(const std::string& name, const std::string& s) {
   errno = 0;
@@ -48,8 +50,9 @@ double parse_double_value(const std::string& name, const std::string& s) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  D2NET_REQUIRE(!s.empty() && end == s.c_str() + s.size() && errno != ERANGE,
-                "flag --" + name + " expects a number, got '" + s + "'");
+  D2NET_REQUIRE(!s.empty() && end == s.c_str() + s.size() && errno != ERANGE &&
+                    std::isfinite(v),
+                "flag --" + name + " expects a finite number, got '" + s + "'");
   return v;
 }
 

@@ -4,7 +4,7 @@
 // `--name value` arguments; `--help` prints the registry. No external
 // dependencies, deterministic errors on unknown flags and malformed
 // values: numeric flags require the whole token to parse (no trailing
-// junk), bool flags accept only true/false/1/0 (or no value, meaning
+// junk; doubles must be finite), bool flags accept only true/false/1/0 (or no value, meaning
 // true).
 #pragma once
 

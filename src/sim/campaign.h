@@ -2,22 +2,22 @@
 //
 // A campaign spec is a committed JSON file describing a matrix of
 // {topology, routing, traffic, loads, fault schedule} combinations; the
-// d2net_campaign driver expands it into the exact SweepSeriesSpec /
-// exchange-table work the hand-written bench binaries construct in code,
-// and executes it through the same SweepRunner journal/resume/deadline
-// layer. The porting contract is byte-identity: a campaign spec ported
-// from a bench binary must reproduce that binary's --json output
-// byte-for-byte (enforced by scripts/ci.sh stage 6), so the expansion
-// rules below mirror the benches' construction order precisely:
+// d2net_campaign runner expands it into SweepSeriesSpec / exchange-table
+// work and executes it through the SweepRunner journal/resume/deadline
+// layer. The committed figure specs (campaigns/fig6..fig13.json) replaced
+// hand-written bench binaries, and their --json output is pinned byte for
+// byte to goldens generated from those binaries (tests/golden/campaigns/,
+// enforced by scripts/ci.sh stage 6), so the expansion rules below keep
+// the binaries' construction order precisely:
 //
 //  - Load sweeps expand system-major, series-minor: for each selected
-//    system, one SweepSeriesSpec per series entry, in spec order. That is
-//    the loop order of bench_fig6_oblivious (labels and point indices —
-//    and therefore derived seeds and journal keys — depend on it).
+//    system, one SweepSeriesSpec per series entry, in spec order (labels
+//    and point indices — and therefore derived seeds and journal keys —
+//    depend on it).
 //  - A sweep's optional `grid` axis multiplies each series entry by the
 //    grid values, series-major grid-minor, substituting {grid} in labels
-//    ("nI=4" / "c=0.25") — the loop order of the adaptive panel benches
-//    (bench_fig8_sf_adaptive_th and friends).
+//    ("nI=4" / "c=0.25") — the order of the Figs. 7-12 vary-nI / vary-c
+//    panels.
 //  - Worst-case traffic builds its permutation from a fresh Rng seeded
 //    with the invocation seed per system, matching the benches.
 //  - seed_mode "base" pins every point of the sweep to the invocation

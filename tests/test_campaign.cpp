@@ -4,13 +4,22 @@
 // arithmetic/seed policy), and — the porting contract — executor
 // equivalence: an expanded campaign run through SweepRunner must render
 // every point byte-identically to the hand-written construction it ports.
+// Also: the standard flags' parse-time range checks, and a parse + expand
+// of every committed campaigns/*.json.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "sim/campaign.h"
@@ -611,6 +620,127 @@ TEST(CampaignEquivalence, BaseSeedFaultSeriesMatchesDirectSimStack) {
   ASSERT_EQ(campaign.size(), 1u);
   ASSERT_EQ(campaign[0].size(), 1u);
   EXPECT_EQ(render_point_json(campaign[0][0]), render_point_json(direct));
+}
+
+// ----------------------------------------------------- standard bench flags
+
+// Parses `args` through the standard bench flags, as every bench main does, and
+// returns the ArgumentError text ("" when the flags are accepted). Parsing
+// only: read_standard_flags starts no threads, whatever --jobs says.
+std::string standard_flags_error(const std::vector<std::string>& args) {
+  Cli cli("test");
+  bench::add_standard_flags(cli);
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  try {
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    bench::read_standard_flags(cli);
+  } catch (const ArgumentError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StandardFlags, RejectsOutOfRangeValuesNamingTheFlag) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      // Non-finite: us() would turn these into garbage TimePs.
+      {{"--duration-us=nan"}, "--duration-us"},
+      {{"--metrics-sample-us=inf"}, "--metrics-sample-us"},
+      {{"--point-timeout=inf"}, "--point-timeout"},
+      // Beyond the TimePs range, or non-zero but below 1 ps.
+      {{"--duration-us=1e300"}, "--duration-us"},
+      {{"--metrics-sample-us=1e-9"}, "--metrics-sample-us"},
+      {{"--flow-interval-us=1e-9"}, "--flow-interval-us"},
+      {{"--flow-interval-us=1e20"}, "--flow-interval-us"},
+      {{"--warmup-us=1e-9"}, "--warmup-us"},
+      // The run window itself; --full scales the default warm-up to 10 us
+      // before the check.
+      {{"--duration-us=0"}, "--duration-us"},
+      {{"--duration-us=-2"}, "--duration-us"},
+      {{"--warmup-us=-1"}, "--warmup-us"},
+      {{"--warmup-us=16"}, "--warmup-us"},
+      {{"--full", "--duration-us=5"}, "--warmup-us"},
+      // Integers an int cannot hold must not wrap.
+      {{"--jobs=4294967297"}, "--jobs"},
+      {{"--jobs=-1"}, "--jobs"},
+      {{"--shards=4294967298"}, "--shards"},
+      {{"--shards=0"}, "--shards"},
+      {{"--flow-active=4294967297"}, "--flow-active"},
+      {{"--point-retries=4294967296"}, "--point-retries"},
+      {{"--point-retries=2147483647"}, "--point-retries"},  // 1 + retries attempts
+  };
+  for (const auto& [args, flag] : bad) {
+    const std::string err = standard_flags_error(args);
+    EXPECT_NE(err, "") << args.back() << " was accepted";
+    EXPECT_NE(err.find(flag), std::string::npos) << args.back() << ": " << err;
+  }
+  for (const std::vector<std::string>& good :
+       {std::vector<std::string>{}, {"--warmup-us=0"}, {"--duration-us=2", "--warmup-us=0.5"},
+        {"--metrics-sample-us=1e-6"}, {"--flow-interval-us=0"}, {"--jobs=2147483647"},
+        {"--full", "--duration-us=20"}}) {
+    EXPECT_EQ(standard_flags_error(good), "") << (good.empty() ? "" : good.back());
+  }
+}
+
+TEST(StandardFlags, CampaignIntegerFlagsRejectValuesAnIntCannotHold) {
+  // d2net_campaign's own integer flags, declared as it declares them.
+  for (const auto& [arg, flag, min] : std::vector<std::tuple<std::string, std::string, int>>{
+           {"--workers=4294967297", "workers", 1},
+           {"--workers=0", "workers", 1},
+           {"--shard-points=4294967298", "shard-points", 0},
+           {"--shard-points=-1", "shard-points", 0}}) {
+    Cli cli("test");
+    cli.flag(flag, std::int64_t{min}, "an integer flag");
+    std::vector<char*> argv{const_cast<char*>("prog"), const_cast<char*>(arg.c_str())};
+    ASSERT_TRUE(cli.parse(2, argv.data()));
+    try {
+      bench::read_int_flag(cli, flag, min);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos) << e.what();
+    }
+  }
+}
+
+// ------------------------------------------------------- committed specs
+
+// Every committed campaigns/*.json must parse and expand at default scale;
+// the figure specs keep the names of the binaries they replaced (the
+// "bench" field of their --json output and part of their spec hash).
+TEST(CommittedSpecs, EveryCampaignParsesAndExpandsAtDefaultScale) {
+  const std::map<std::string, std::string> figure_names = {
+      {"fig6", "bench_fig6_oblivious"},          {"fig7", "bench_fig7_sf_adaptive"},
+      {"fig8", "bench_fig8_sf_adaptive_th"},     {"fig9", "bench_fig9_mlfm_adaptive"},
+      {"fig10", "bench_fig10_oft_adaptive"},     {"fig11", "bench_fig11_mlfm_adaptive_th"},
+      {"fig12", "bench_fig12_oft_adaptive_th"}, {"fig13", "bench_fig13_all_to_all"}};
+  Cli cli("test");
+  bench::add_standard_flags(cli);
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, const_cast<char**>(argv)));
+  const bench::BenchOptions opts = bench::read_standard_flags(cli);
+  const CampaignParams params{opts.full, opts.seed, opts.duration, opts.warmup};
+
+  std::size_t figures_seen = 0;
+  std::size_t specs_seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(D2NET_SOURCE_DIR) + "/campaigns")) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const CampaignSpec spec = parse_campaign_spec(text.str(), entry.path().string());
+    const ExpandedCampaign plan = expand_campaign(spec, params);
+    EXPECT_FALSE(plan.steps.empty());
+    ++specs_seen;
+    const auto fig = figure_names.find(entry.path().stem().string());
+    if (fig != figure_names.end()) {
+      EXPECT_EQ(spec.name, fig->second);
+      ++figures_seen;
+    }
+  }
+  EXPECT_EQ(figures_seen, figure_names.size());
+  EXPECT_GE(specs_seen, figure_names.size());
 }
 
 }  // namespace
