@@ -116,14 +116,10 @@ BENCHMARK(BM_EventQueue);
 void BM_EventQueueStress(benchmark::State& state) {
   // Simulator-shaped stress: the queue stays around `resident` entries while
   // pushes and pops interleave, so scheduling costs reflect steady-state
-  // depth rather than a single fill/drain ramp. Arg 1 selects the scheduler
-  // (0 = 4-ary heap, 1 = bucketed wheel).
+  // depth rather than a single fill/drain ramp.
   const int resident = static_cast<int>(state.range(0));
-  const auto kind =
-      state.range(1) == 0 ? SchedulerKind::kHeap : SchedulerKind::kWheel;
   for (auto _ : state) {
     EventQueue q;
-    q.set_scheduler(kind);
     q.reserve(resident + 8);
     Rng rng(1);
     TimePs now = 0;
@@ -141,12 +137,7 @@ void BM_EventQueueStress(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_EventQueueStress)
-    ->Args({1 << 8, 0})
-    ->Args({1 << 12, 0})
-    ->Args({1 << 8, 1})
-    ->Args({1 << 12, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventQueueStress)->Arg(1 << 8)->Arg(1 << 12)->Unit(benchmark::kMillisecond);
 
 void BM_VoqPushPop(benchmark::State& state) {
   // The intrusive FIFO primitive behind every (in_port, vc, out_port) VOQ:
@@ -321,28 +312,23 @@ int write_json_snapshot(const std::string& path) {
     }
   });
 
-  // Steady-state event-queue push+pop pair, both schedulers.
-  const auto queue_ns = [&](SchedulerKind kind) {
-    return best_ns_per_op(1 << 21, 1, [&](std::int64_t iters) {
-      EventQueue q;
-      q.set_scheduler(kind);
-      q.reserve(1 << 12);
-      Rng rng(1);
-      for (int i = 0; i < 1 << 12; ++i) {
-        q.push(static_cast<TimePs>(rng.next_below(1 << 17)), EventType::kNicFree, i);
-      }
-      for (std::int64_t i = 0; i < iters; ++i) {
-        const Event e = q.pop();
-        // Reschedule ahead on the simulator's own scale (serialization
-        // ~20k ps, router latency ~100k ps).
-        q.push(e.time + 1 + static_cast<TimePs>(rng.next_below(1 << 17)),
-               EventType::kNicFree, e.a);
-      }
-      benchmark::DoNotOptimize(q.empty());
-    });
-  };
-  const double ns_heap = queue_ns(SchedulerKind::kHeap);
-  const double ns_wheel = queue_ns(SchedulerKind::kWheel);
+  // Steady-state event-queue push+pop pair.
+  const double ns_wheel = best_ns_per_op(1 << 21, 1, [&](std::int64_t iters) {
+    EventQueue q;
+    q.reserve(1 << 12);
+    Rng rng(1);
+    for (int i = 0; i < 1 << 12; ++i) {
+      q.push(static_cast<TimePs>(rng.next_below(1 << 17)), EventType::kNicFree, i);
+    }
+    for (std::int64_t i = 0; i < iters; ++i) {
+      const Event e = q.pop();
+      // Reschedule ahead on the simulator's own scale (serialization
+      // ~20k ps, router latency ~100k ps).
+      q.push(e.time + 1 + static_cast<TimePs>(rng.next_below(1 << 17)),
+             EventType::kNicFree, e.a);
+    }
+    benchmark::DoNotOptimize(q.empty());
+  });
 
   // Paper-scale sharded-vs-serial comparison. The speedup ratios are only
   // meaningful relative to the recorded core count: lanes time-slice on a
@@ -387,7 +373,6 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
-  std::fprintf(f, "  \"ns_event_queue_heap\": %.2f,\n", ns_heap);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f\n", ns_wheel);
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -155,7 +155,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     for key in events_per_sec_minimal events_per_sec_ugal \
                events_per_sec_sharded_serial events_per_sec_sharded_2 \
                events_per_sec_sharded_4 ns_voq_push_pop \
-               ns_pool_alloc_release ns_csr_next_hops ns_event_queue_heap \
+               ns_pool_alloc_release ns_csr_next_hops \
                ns_event_queue_wheel; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")

@@ -365,7 +365,7 @@ void FlowSim::dispatch_rate_tick() {
   }
 }
 
-bool FlowSim::run_until(TimePs end) {
+bool FlowSim::run_events(TimePs end) {
   const bool digest = cfg_.collect_event_digest;
   const double wall_limit = cfg_.wall_limit_seconds;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -444,7 +444,7 @@ OpenLoopResult FlowSim::run_open_loop(const TrafficPattern& pattern, double load
   if (cfg_.flow.rate_interval > 0) {
     push_event(cfg_.flow.rate_interval, EventKind::kRateTick, 0, 0);
   }
-  const bool finished = run_until(duration);
+  const bool finished = run_events(duration);
   if (finished) final_accrual(duration);
 
   OpenLoopResult res;
@@ -520,7 +520,7 @@ ExchangeResult FlowSim::run_exchange(const ExchangePlan& plan, TimePs time_limit
     push_event(cfg_.flow.rate_interval, EventKind::kRateTick, 0, 0);
   }
 
-  const bool finished = run_until(time_limit);
+  const bool finished = run_events(time_limit);
   if (finished && exchange_completion_ < 0) {
     final_accrual(time_limit);
   } else if (!finished) {

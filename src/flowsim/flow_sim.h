@@ -121,7 +121,7 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
 
   void reset();
   void push_event(TimePs time, EventKind kind, std::int32_t a, std::uint32_t gen);
-  bool run_until(TimePs end);  ///< returns false on wall-limit timeout
+  bool run_events(TimePs end);  ///< returns false on wall-limit timeout
   void dispatch_arrival(const Event& e);
   void dispatch_completion(const Event& e);
   void dispatch_rate_tick();

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "common/units.h"
-#include "sim/event_queue.h"
 #include "sim/fault.h"
 
 namespace d2net {
@@ -55,8 +54,8 @@ struct FlowSimConfig {
 
 struct SimConfig {
   /// Simulation backend. Everything below ps_per_byte..seed applies to
-  /// both engines; fault/metrics/shards/scheduler knobs are packet-only
-  /// (the flow engine rejects them up front — see flowsim/flow_sim.h).
+  /// both engines; fault/metrics/shards knobs are packet-only (the flow
+  /// engine rejects them up front — see flowsim/flow_sim.h).
   SimEngine engine = SimEngine::kPacket;
   FlowSimConfig flow;
 
@@ -78,18 +77,13 @@ struct SimConfig {
   /// store-and-forward for strict conservatism.
   bool cut_through = false;
 
-  /// Event-scheduling structure (see sim/event_queue.h). Both realize the
-  /// exact same (time, okey, seq) event order — runs are bit-identical
-  /// either way (enforced by tests/test_determinism_digest.cpp); the wheel
-  /// is faster at saturation, the heap is the cross-check reference.
-  SchedulerKind scheduler = SchedulerKind::kWheel;
-
   /// Worker event cores one simulation is partitioned across (conservative
   /// time-window synchronization, lookahead = link_latency; see
-  /// docs/sharded_sim.md). 1 = the plain serial engine. Sharded runs
-  /// reproduce the serial event digest bit-for-bit; runs that need a global
-  /// event view (UGAL-G routing, packet tracing, exchange workloads) demote
-  /// to serial with a stderr note. Clamped to the router count.
+  /// docs/sharded_sim.md). 1 = serial: the same window driver with one
+  /// lane and no lookahead bound. Sharded runs reproduce the serial event
+  /// digest bit-for-bit; runs that need a global event view (UGAL-G
+  /// routing, packet tracing, exchange workloads) demote to serial with a
+  /// stderr note. Clamped to the router count.
   int shards = 1;
 
   /// Fold an FNV-1a digest over the dispatched event stream (time, seq,

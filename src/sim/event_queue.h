@@ -1,38 +1,32 @@
 // Discrete-event core: a time-ordered queue with a deterministic FIFO
 // tie-break so identical seeds replay identical packet traces.
 //
-// Two interchangeable scheduling structures live behind one interface,
-// selected by set_scheduler() (driven by SimConfig::scheduler):
+// The structure is a two-level bucketed near-future wheel in front of an
+// implicit 4-ary min-heap (calendar/ladder-queue style). Level 1 is a ring
+// of 64 buckets of 2^12 ps (~4 ns) each; level 2 is a ring of 64 buckets of
+// 2^18 ps (~262 ns, exactly one full L1 span) each; events beyond the
+// ~16.8 us L2 horizon overflow into the heap, whose shallow tree and
+// hole-based sifts (one Event moved per level) keep the rare far-future
+// pushes cheap. Pops consume a sorted "active bucket"; pushes are O(1) ring
+// appends except for the rare push into the active bucket itself, which
+// insertion-sorts into the unconsumed tail. Nearly every event a saturated
+// simulation schedules (serialization ends, head eligibility, credit
+// returns) lands within a few L1 buckets of `now`, so steady-state cost is
+// a ring append plus an amortized small sort instead of an O(log n) sift.
+// Measured setup-inclusive at SF q=7 and q=13, the wheel beat a heap-only
+// queue in every pair (docs/perf.md).
 //
-//  * SchedulerKind::kHeap — an implicit 4-ary min-heap over a flat vector.
-//    The shallow tree halves the cache lines touched per sift relative to
-//    std::priority_queue's binary heap. pop()/push() sift with a hole instead of swapping,
-//    so each level moves one Event instead of three.
-//
-//  * SchedulerKind::kWheel — a two-level bucketed near-future wheel in
-//    front of that same heap (calendar/ladder-queue style). Level 1 is a
-//    ring of 64 buckets of 2^12 ps (~4 ns) each; level 2 is a ring of 64
-//    buckets of 2^18 ps (~262 ns, exactly one full L1 span) each; events
-//    beyond the ~16.8 us L2 horizon overflow into the heap. Pops consume a
-//    sorted "active bucket"; pushes are O(1) ring appends except for the
-//    rare push into the active bucket itself, which insertion-sorts into
-//    the unconsumed tail. Nearly every event a saturated simulation
-//    schedules (serialization ends, head eligibility, credit returns)
-//    lands within a few L1 buckets of `now`, so steady-state cost is a
-//    ring append plus an amortized small sort instead of an O(log n) sift.
-//
-// Both schedulers realize the exact same (time, okey, seq) total order, so
-// a run is bit-identical under either — enforced by
-// tests/test_determinism_digest via an FNV-1a digest of the full dispatched
-// event stream. The okey (ordering key) ranks same-time events by a
-// content-derived identity instead of raw insertion order, which makes the
-// realized order independent of *where* an event was pushed from — the
-// property sharded execution needs so that cross-shard arrivals delivered
-// at a window barrier sort exactly where the serial engine would have
-// placed them (see docs/sharded_sim.md). Two distinct pending events never
-// tie on (time, okey) in-bounds (the key packs the event's full identity),
-// so seq only orders byte-identical duplicates, whose relative order cannot
-// matter.
+// pop() always returns the minimum pending event in (time, okey, seq)
+// order — exactly what a reference priority queue would return, which
+// tests/test_sweep_runner.cpp checks on random streams. The okey (ordering
+// key) ranks same-time events by a content-derived identity instead of raw
+// insertion order, which makes the realized order independent of *where*
+// an event was pushed from — the property sharded execution needs so that
+// cross-shard arrivals delivered at a window barrier sort exactly where the
+// serial engine would have placed them (see docs/sharded_sim.md). Two
+// distinct pending events never tie on (time, okey) in-bounds (the key
+// packs the event's full identity), so seq only orders byte-identical
+// duplicates, whose relative order cannot matter.
 #pragma once
 
 #include <algorithm>
@@ -115,22 +109,8 @@ inline std::uint64_t pack_packet_okey(EventType type, std::uint64_t uid) {
   return (static_cast<std::uint64_t>(type) << 56) | (uid & 0x00FFFFFFFFFFFFFFull);
 }
 
-/// Which scheduling structure EventQueue uses (see the file comment).
-enum class SchedulerKind : std::uint8_t {
-  kHeap,   ///< 4-ary implicit min-heap only
-  kWheel,  ///< two-level bucketed wheel + heap overflow
-};
-
 class EventQueue {
  public:
-  /// Selects the scheduling structure; only valid while the queue is empty
-  /// (NetworkSim calls it once at construction from SimConfig::scheduler).
-  void set_scheduler(SchedulerKind kind) {
-    D2NET_REQUIRE(size_ == 0, "set_scheduler() on a non-empty EventQueue");
-    kind_ = kind;
-  }
-  SchedulerKind scheduler() const { return kind_; }
-
   /// Convenience push for identity-operand events (computes the okey).
   void push(TimePs time, EventType type, std::int32_t a = 0, std::int32_t b = 0,
             std::int32_t c = 0, std::int32_t d = 0) {
@@ -141,17 +121,13 @@ class EventQueue {
                   std::int32_t b = 0, std::int32_t c = 0, std::int32_t d = 0) {
     const Event e{time, okey, next_seq_++, type, a, b, c, d};
     ++size_;
-    if (kind_ == SchedulerKind::kHeap) {
-      push_heap(e);
-      return;
-    }
     if (size_ == 1) reanchor(time);
     if (time < l1_start_) {
       // Lands in (or before) the active bucket: insertion-sort into the
       // unconsumed tail. Searching from cur_pos_ clamps an event that would
       // sort before already-consumed entries (a same-time push with a
       // smaller okey than the event being dispatched) to "popped next" —
-      // exactly where the heap would surface it, since every
+      // exactly where a priority queue would surface it, since every
       // already-consumed entry was the minimum of the pending set when it
       // was popped.
       cur_.insert(std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
@@ -176,7 +152,6 @@ class EventQueue {
   Event pop() {
     D2NET_HOT_ASSERT(size_ > 0, "pop() on empty EventQueue");
     --size_;
-    if (kind_ == SchedulerKind::kHeap) return pop_heap();
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_++];
   }
@@ -186,7 +161,6 @@ class EventQueue {
   /// state change).
   TimePs next_time() {
     D2NET_HOT_ASSERT(size_ > 0, "next_time() on empty EventQueue");
-    if (kind_ == SchedulerKind::kHeap) return heap_.front().time;
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_].time;
   }
@@ -196,7 +170,6 @@ class EventQueue {
   /// comparing heads). Same const caveat as next_time().
   const Event& peek() {
     D2NET_HOT_ASSERT(size_ > 0, "peek() on empty EventQueue");
-    if (kind_ == SchedulerKind::kHeap) return heap_.front();
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_];
   }
@@ -204,19 +177,16 @@ class EventQueue {
   /// Pre-sizes the backing stores (one sim reuses the queue across runs).
   void reserve(std::size_t n) {
     heap_.reserve(n);
-    if (kind_ == SchedulerKind::kWheel) {
-      // At saturation one L1 bucket holds a small slice of the pending set;
-      // reserve a fraction so early runs do not grow buckets one push at a
-      // time.
-      const std::size_t per_bucket = std::max<std::size_t>(n / (kL1Buckets * 4), 8);
-      cur_.reserve(per_bucket * 2);
-      for (auto& b : l1_) b.reserve(per_bucket);
-    }
+    // At saturation one L1 bucket holds a small slice of the pending set;
+    // reserve a fraction so early runs do not grow buckets one push at a
+    // time.
+    const std::size_t per_bucket = std::max<std::size_t>(n / (kL1Buckets * 4), 8);
+    cur_.reserve(per_bucket * 2);
+    for (auto& b : l1_) b.reserve(per_bucket);
   }
 
-  /// Event slots the primary backing store holds before reallocating (the
-  /// heap in heap mode; overflow-heap capacity in wheel mode, which
-  /// reserve() sizes identically). Exposed through EngineCapacities.
+  /// Event slots the overflow heap holds before reallocating (what
+  /// reserve() sized). Exposed through EngineCapacities.
   std::size_t reserved() const { return heap_.capacity(); }
 
   /// Drops all pending events but keeps the allocated capacity and the
@@ -272,7 +242,7 @@ class EventQueue {
     return (from + static_cast<std::size_t>(std::countr_zero(rotated))) % 64;
   }
 
-  // --- heap primitives (hole-based sifts: one Event moved per level) ---
+  // --- overflow heap primitives (hole-based sifts: one Event moved per level) ---
 
   void push_heap(const Event& e) {
     heap_.push_back(e);
@@ -391,7 +361,6 @@ class EventQueue {
     drain_heap_into_l2();
   }
 
-  SchedulerKind kind_ = SchedulerKind::kHeap;
   std::size_t size_ = 0;
   std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;

@@ -188,7 +188,7 @@ struct FaultStats {
 
 /// Validates every schedule entry against the topology and the run window:
 /// ids must be in range, link endpoints adjacent, and times within
-/// [0, run_end] (run_until executes events at exactly run_end, so only
+/// [0, run_end] (the driver executes events at exactly run_end, so only
 /// strictly-later times can never fire). Violations throw ArgumentError
 /// naming the entry index and its rendering. Additionally warns once on
 /// stderr when a non-empty schedule fires entirely before `warmup_end` —

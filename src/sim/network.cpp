@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -250,8 +251,8 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
   // few pending channel/credit events; packets in flight scale with ports
   // times a small per-VC queue depth. Reported via EngineCapacities. Lane 0
   // keeps the full-topology reserve (serial and demoted runs execute
-  // everything there); the other lanes get a 2x proportional share so
-  // imbalance does not force early regrowth.
+  // every packet event there); the other lanes get a 2x proportional share
+  // so imbalance does not force early regrowth.
   const std::size_t q_reserve = static_cast<std::size_t>(topo.num_nodes()) * 8 +
                                 total_ports * static_cast<std::size_t>(num_vcs_) * 2;
   const std::size_t p_reserve = static_cast<std::size_t>(topo.num_nodes()) * 4 +
@@ -260,14 +261,12 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
   for (int l = 0; l < num_lanes_; ++l) {
     Lane& ln = lanes_[static_cast<std::size_t>(l)];
     ln.id = l;
-    ln.queue.set_scheduler(cfg_.scheduler);
     ln.queue.reserve(l == 0 ? q_reserve
                             : q_reserve * 2 / static_cast<std::size_t>(num_lanes_));
     ln.pool.reserve(l == 0 ? p_reserve
                            : p_reserve * 2 / static_cast<std::size_t>(num_lanes_));
     ln.outbox.resize(static_cast<std::size_t>(num_lanes_));
   }
-  control_.set_scheduler(cfg_.scheduler);
   node_rng_.resize(nics_.size());
   router_rng_.resize(routers_.size());
   node_uid_ctr_.assign(nics_.size(), 0);
@@ -326,6 +325,8 @@ void NetworkSim::reset() {
     ln.pool.recycle_all();
     ln.events_processed = 0;
     ln.progress = 0;
+    ln.now = 0;
+    ln.timed_out = false;
     ln.ejected_bytes_window = 0;
     ln.packets_injected = 0;
     ln.packets_minimal = 0;
@@ -360,7 +361,6 @@ void NetworkSim::reset() {
   }
   std::fill(node_uid_ctr_.begin(), node_uid_ctr_.end(), std::uint64_t{0});
   active_lanes_ = 1;
-  sharded_run_ = false;
   barrier_phase_ = false;
   windows_ = 0;
   window_width_ps_ = 0;
@@ -798,41 +798,25 @@ void NetworkSim::dispatch(Lane& ln, const Event& e) {
     case EventType::kArriveNode:
       handle_arrive_node(ln, e.a, e.time);
       break;
-    case EventType::kFault:
-      // Serial path only; sharded runs execute kFault on the coordinator
-      // (serialized_step), never through a lane dispatch.
-      apply_fault(e.a, e.time);
-      // Fault application rewires credits and drains VOQs wholesale — the
-      // exact transitions the paranoid audit exists to police.
-      if (paranoid_) self_audit("apply_fault");
-      break;
-    case EventType::kFaultDetect:
-      // Control plane (serial path; sharded runs execute these on the
-      // coordinator like kFault): the router's missed-credit timeout.
-      handle_fault_detect(e.a, e.d, e.time);
-      if (paranoid_) self_audit("fault_detect");
-      break;
-    case EventType::kFloodArrive:
-      handle_flood_arrive(e.a, e.d, e.time);
-      if (paranoid_) self_audit("flood_arrive");
-      break;
     case EventType::kRetryInject:
       handle_retry(ln, e.a, e.time);
       break;
+    case EventType::kFault:
+    case EventType::kFaultDetect:
+    case EventType::kFloodArrive:
     case EventType::kMetricsSample:
     case EventType::kWatchdog:
-      // Handled in run_until / serialized_step (excluded from
-      // events_processed).
+      // Control events live on the control queue and run in
+      // serialized_step, never through a lane dispatch.
       break;
   }
 }
 
 void NetworkSim::handle_metrics_sample(TimePs now) {
   // Read-only over simulation state: records queue depths and schedules
-  // the next tick. Must not touch the RNG or any router/NIC state. Sharded
-  // runs execute it on the coordinator at a window barrier, where every
-  // lane has retired all events before `now` — the same prefix the serial
-  // engine has retired when it samples.
+  // the next tick. Must not touch the RNG or any router/NIC state. It runs
+  // on the coordinator at a window barrier, where every lane has retired
+  // all events before `now`.
   std::int64_t total = 0;
   for (int r = 0; r < topo_.num_routers(); ++r) {
     const RouterState& rs = routers_[r];
@@ -845,7 +829,7 @@ void NetworkSim::handle_metrics_sample(TimePs now) {
   occupancy_series_.push_back({now, total});
   ctr_samples_->add();
   const TimePs next = now + cfg_.metrics.sample_period;
-  if (next <= window_end_) control_queue().push(next, EventType::kMetricsSample);
+  if (next <= window_end_) control_.push(next, EventType::kMetricsSample);
 }
 
 // --- cross-shard-capable push helpers ---
@@ -855,7 +839,7 @@ void NetworkSim::send_arrive_router(Lane& ln, TimePs t, int pkt_id, int router,
   const std::uint64_t okey =
       pack_packet_okey(EventType::kArriveRouter, ln.pool[pkt_id].uid);
   const int target = lane_index_of_router(router);
-  if (!sharded_run_ || target == ln.id) {
+  if (active_lanes_ == 1 || target == ln.id) {
     ln.queue.push_keyed(t, okey, EventType::kArriveRouter, pkt_id, router, in_port, vc);
     return;
   }
@@ -889,7 +873,7 @@ void NetworkSim::send_retry(Lane& ln, TimePs t, int pkt_id) {
   // than the router that dropped the packet. The backoff is >= one link
   // latency (enforced by setup_run), so the lookahead bound holds.
   const int target = lane_index_of_node(pkt.src_node);
-  if (!sharded_run_ || target == ln.id) {
+  if (active_lanes_ == 1 || target == ln.id) {
     ln.queue.push_keyed(t, okey, EventType::kRetryInject, pkt_id);
     return;
   }
@@ -915,7 +899,7 @@ void NetworkSim::send_retry(Lane& ln, TimePs t, int pkt_id) {
 void NetworkSim::send_credit_to_router(Lane& ln, TimePs t, int router, int out_port,
                                        int vc, int bytes) {
   const int target = lane_index_of_router(router);
-  if (!sharded_run_ || target == ln.id) {
+  if (active_lanes_ == 1 || target == ln.id) {
     if (faults_enabled_) {
       routers_[router].out_ports[out_port].credits_pending[vc] += bytes;
     }
@@ -1248,7 +1232,7 @@ void NetworkSim::schedule_detections(int idx, TimePs now) {
   const TimePs t = now + cfg_.fault.detection_delay;
   auto detect = [&](int r) {
     if (router_dead_[r]) return;
-    control_queue().push(t, EventType::kFaultDetect, r, 0, 0, idx);
+    control_.push(t, EventType::kFaultDetect, r, 0, 0, idx);
   };
   switch (f.kind) {
     case FaultKind::kLinkDown:
@@ -1308,8 +1292,8 @@ void NetworkSim::learn_update(int router, int idx, bool detection, TimePs now) {
     const OutPort& op = rs.out_ports[i];
     if (!op.phys_up || router_dead_[op.peer_router]) continue;
     ++cv.flood_messages;
-    control_queue().push(now + cfg_.link_latency + cfg_.fault.flood_process,
-                         EventType::kFloodArrive, op.peer_router, 0, 0, idx);
+    control_.push(now + cfg_.link_latency + cfg_.fault.flood_process,
+                  EventType::kFloodArrive, op.peer_router, 0, 0, idx);
   }
   if (view_.converged(idx)) {
     ++cv.converged;
@@ -1553,7 +1537,7 @@ void NetworkSim::handle_watchdog(TimePs now) {
     return;
   }
   watch_last_ = progress;
-  control_queue().push(now + cfg_.fault.watchdog_interval, EventType::kWatchdog);
+  control_.push(now + cfg_.fault.watchdog_interval, EventType::kWatchdog);
 }
 
 void NetworkSim::setup_faults() {
@@ -1579,8 +1563,8 @@ void NetworkSim::setup_faults() {
     // error instead.
     validate_fault_schedule(topo_, cfg_.fault.schedule, window_end_, window_start_);
     for (std::size_t i = 0; i < cfg_.fault.schedule.size(); ++i) {
-      control_queue().push(cfg_.fault.schedule[i].time, EventType::kFault,
-                           static_cast<std::int32_t>(i));
+      control_.push(cfg_.fault.schedule[i].time, EventType::kFault,
+                    static_cast<std::int32_t>(i));
     }
   }
   if (prop_enabled_) {
@@ -1595,64 +1579,20 @@ void NetworkSim::setup_faults() {
     view_.clear();
   }
   if (cfg_.fault.watchdog_interval > 0) {
-    control_queue().push(cfg_.fault.watchdog_interval, EventType::kWatchdog);
+    control_.push(cfg_.fault.watchdog_interval, EventType::kWatchdog);
   }
 }
 
 void NetworkSim::arm_deadline() {
   deadline_enabled_ = cfg_.wall_limit_seconds > 0.0;
   if (!deadline_enabled_) return;
-  deadline_countdown_ = kDeadlineStride;
+  for (Lane& ln : lanes_) ln.deadline_countdown = kDeadlineStride;
   deadline_ = std::chrono::steady_clock::now() +
               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(cfg_.wall_limit_seconds));
 }
 
-void NetworkSim::run_until(TimePs end) {
-  Lane& ln = lanes_[0];
-  while (!ln.queue.empty()) {
-    if (ln.queue.next_time() > end) break;
-    if (exchange_mode_ && exchange_remaining_ == 0) break;
-    if (wedged_ || timed_out_) break;
-    const Event e = ln.queue.pop();
-    now_ = e.time;
-    if (e.type == EventType::kMetricsSample) {
-      // Sampling ticks observe without perturbing: they bypass dispatch()
-      // and the events_processed count so enabled and disabled runs report
-      // identical engine statistics.
-      handle_metrics_sample(e.time);
-      continue;
-    }
-    if (e.type == EventType::kWatchdog) {
-      // Same discipline: the check reads one counter, so the always-on
-      // watchdog cannot perturb a healthy run either.
-      handle_watchdog(e.time);
-      continue;
-    }
-    if (digest_enabled_) {
-      // Order-sensitive digest of exactly the dispatched stream (the same
-      // events events_processed counts): any divergence in event content or
-      // ordering between two runs flips it. The fold hashes (time, okey,
-      // operands-sans-pool-slot), so a sharded run folding the identical
-      // realized stream produces the identical value.
-      event_digest_ =
-          fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
-    }
-    dispatch(ln, e);
-    ++ln.events_processed;
-    // Cooperative wall-clock deadline: one countdown decrement per event,
-    // one steady_clock read per stride. The event sequence is untouched, so
-    // a run that finishes under budget is bit-identical to one with no
-    // budget at all; an over-budget run stops at the next stride boundary
-    // with partial statistics and timed_out=true.
-    if (deadline_enabled_ && --deadline_countdown_ <= 0) {
-      deadline_countdown_ = kDeadlineStride;
-      if (std::chrono::steady_clock::now() >= deadline_) timed_out_ = true;
-    }
-  }
-}
-
-// --- sharded driver (see docs/sharded_sim.md) ---
+// --- window driver (see docs/sharded_sim.md) ---
 
 void NetworkSim::setup_run(bool exchange) {
   // The warn-once latches are std::atomic: setup_run executes on sweep
@@ -1691,8 +1631,7 @@ void NetworkSim::setup_run(bool exchange) {
     }
     active_lanes_ = 1;
   }
-  sharded_run_ = active_lanes_ > 1;
-  if (sharded_run_ && cfg_.fault.enabled() &&
+  if (active_lanes_ > 1 && cfg_.fault.enabled() &&
       cfg_.fault.recovery != FaultRecovery::kNone) {
     // send_retry targets the source node's lane with delay >= the backoff;
     // the conservative window is only safe if that delay covers the
@@ -1712,31 +1651,58 @@ void NetworkSim::setup_run(bool exchange) {
 }
 
 void NetworkSim::run_lane_window(Lane& ln, TimePs limit) {
-  // One conservative window on one thread: every event strictly before
-  // `limit` is safe to execute — any cross-shard consequence lands at least
-  // one link latency past the window floor, i.e. at or after `limit`.
-  // Touches only lane-owned state (never now_); cross-lane effects queue in
-  // the outbox/ledger for the barrier.
+  // One window on one thread: every event strictly before `limit` is safe
+  // to execute — with several lanes any cross-shard consequence lands at
+  // least one link latency past the window floor, i.e. at or after
+  // `limit`. Touches only lane-owned state (never now_); cross-lane effects
+  // queue in the outbox/ledger for the barrier.
   EventQueue& q = ln.queue;
+  const bool serial = active_lanes_ == 1;
   while (!q.empty() && q.next_time() < limit) {
     const Event e = q.pop();
+    ln.now = e.time;
     if (digest_enabled_) {
-      ln.dlog.push_back({e.time, e.okey, digest_w1(e), digest_w2(e)});
+      // Order-sensitive digest of exactly the dispatched stream (the same
+      // events events_processed counts). The fold hashes (time, okey,
+      // operands-sans-pool-slot), so the barrier's merge of per-lane logs
+      // reproduces the serial value. A serial run folds in place.
+      if (serial) {
+        event_digest_ =
+            fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
+      } else {
+        ln.dlog.push_back({e.time, e.okey, digest_w1(e), digest_w2(e)});
+      }
     }
     dispatch(ln, e);
     ++ln.events_processed;
+    // An exchange stops at its last delivery (exchange runs have one lane).
+    if (exchange_mode_ && exchange_remaining_ == 0) break;
+    // Cooperative wall-clock deadline: one countdown decrement per event,
+    // one steady_clock read per stride, per lane. The event sequence is
+    // untouched, so a run that finishes under budget is bit-identical to
+    // one with no budget at all; an over-budget lane stops within a stride
+    // and the barrier ends the run with partial statistics.
+    if (deadline_enabled_ && --ln.deadline_countdown <= 0) {
+      ln.deadline_countdown = kDeadlineStride;
+      if (std::chrono::steady_clock::now() >= deadline_) {
+        ln.timed_out = true;
+        break;
+      }
+    }
   }
 }
 
 void NetworkSim::serialized_step(TimePs tc) {
   // Single-threaded execution of one control timestamp. Control events
   // (kFault / kFaultDetect / kFloodArrive / kWatchdog / kMetricsSample)
-  // interleave with any lane events at exactly tc in (time, okey) order — a rescan per event, because fault
-  // application can spawn further same-time events. Cross-lane sends made
-  // here push directly (barrier_phase_), keeping pending-credit state in
-  // step for same-timestamp resyncs.
+  // interleave with any lane events at exactly tc in (time, okey) order —
+  // a rescan per event, because fault application can spawn further
+  // same-time events. Cross-lane sends made here push directly
+  // (barrier_phase_), keeping pending-credit state in step for
+  // same-timestamp resyncs.
   barrier_phase_ = true;
   for (;;) {
+    if (stopped()) break;
     int src = -2;  // -2 = none, -1 = control queue, >= 0 = lane index
     TimePs bt = 0;
     std::uint64_t bk = 0;
@@ -1763,17 +1729,19 @@ void NetworkSim::serialized_step(TimePs tc) {
     if (src == -1) {
       const Event e = control_.pop();
       now_ = e.time;
+      // Sampling and watchdog ticks observe without perturbing: they skip
+      // the digest and the events_processed count, so enabled and disabled
+      // runs report identical engine statistics.
       if (e.type == EventType::kMetricsSample) {
         handle_metrics_sample(e.time);
         continue;
       }
       if (e.type == EventType::kWatchdog) {
         handle_watchdog(e.time);
-        if (wedged_) break;
         continue;
       }
-      // Fault and control-plane events: digest-visible and counted,
-      // exactly like the serial path.
+      // Fault and control-plane events: digest-visible and counted, like
+      // lane events.
       if (digest_enabled_) {
         event_digest_ =
             fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
@@ -1781,9 +1749,12 @@ void NetworkSim::serialized_step(TimePs tc) {
       switch (e.type) {
         case EventType::kFault:
           apply_fault(e.a, e.time);
+          // Fault application rewires credits and drains VOQs wholesale —
+          // the exact transitions the paranoid audit exists to police.
           if (paranoid_) self_audit("apply_fault");
           break;
         case EventType::kFaultDetect:
+          // The router's missed-credit timeout (control plane).
           handle_fault_detect(e.a, e.d, e.time);
           if (paranoid_) self_audit("fault_detect");
           break;
@@ -1811,7 +1782,6 @@ void NetworkSim::serialized_step(TimePs tc) {
 }
 
 void NetworkSim::deliver_cross() {
-  if (!sharded_run_) return;
   // Fixed (target, source) drain order: deterministic seq assignment. seq
   // only breaks byte-identical ties, so any fixed order realizes the same
   // event stream; determinism makes that checkable.
@@ -1841,7 +1811,7 @@ void NetworkSim::deliver_cross() {
 }
 
 void NetworkSim::merge_digest_logs() {
-  if (!digest_enabled_ || !sharded_run_) return;
+  if (!digest_enabled_ || active_lanes_ == 1) return;
   // K-way merge over the per-lane window logs, comparing current heads by
   // (time, okey). Each lane's log is its realized dispatch order; the
   // global serial order interleaves the lanes head-by-head because at every
@@ -1871,15 +1841,21 @@ void NetworkSim::merge_digest_logs() {
 }
 
 void NetworkSim::run_windows(TimePs end) {
-  const TimePs lookahead = cfg_.link_latency;
-  ThreadPool pool(active_lanes_ - 1);
+  // A serial run is the one-lane case: nothing crosses lanes, so there is
+  // no lookahead bound and a window runs to the next control event or the
+  // end; no worker thread is started.
+  std::optional<ThreadPool> pool;
+  if (active_lanes_ > 1) pool.emplace(active_lanes_ - 1);
   for (;;) {
     // Barrier: exchange cross-shard arrivals, then fold the window's digest
     // logs. Every exit path passes through here, so trailing logs always
     // merge before the run finishes.
     deliver_cross();
     merge_digest_logs();
-    if (wedged_ || timed_out_) break;
+    for (int l = 0; l < active_lanes_; ++l) {
+      if (lanes_[static_cast<std::size_t>(l)].timed_out) timed_out_ = true;
+    }
+    if (stopped()) break;
     TimePs tq = kNoEvent;
     for (int l = 0; l < active_lanes_; ++l) {
       EventQueue& q = lanes_[static_cast<std::size_t>(l)].queue;
@@ -1895,21 +1871,41 @@ void NetworkSim::run_windows(TimePs end) {
       serialized_step(tc);
       continue;
     }
+    TimePs limit = std::min(tc, end + 1);
+    if (!pool) {
+      run_lane_window(lanes_[0], limit);
+      continue;
+    }
     // Conservative window [tq, limit): every cross-shard consequence of an
     // event at t < limit arrives at t + lookahead >= tq + lookahead >=
     // limit, so the lanes are independent within the window.
-    const TimePs limit = std::min({tq + lookahead, tc, end + 1});
+    limit = std::min(limit, tq + cfg_.link_latency);
     ++windows_;
     window_width_ps_ += limit - tq;
-    pool.parallel_for(static_cast<std::size_t>(active_lanes_), [&](std::size_t l) {
+    pool->parallel_for(static_cast<std::size_t>(active_lanes_), [&](std::size_t l) {
       run_lane_window(lanes_[l], limit);
     });
-    // One wall-clock check per barrier (vs per-stride serially); an armed
-    // but unhit deadline leaves the event sequence bit-identical either way.
-    if (deadline_enabled_ && std::chrono::steady_clock::now() >= deadline_) {
-      timed_out_ = true;
-    }
   }
+  // now_ ends at the last dispatched event (the credit-stall fold in
+  // build_metrics closes open intervals there).
+  for (int l = 0; l < active_lanes_; ++l) {
+    now_ = std::max(now_, lanes_[static_cast<std::size_t>(l)].now);
+  }
+}
+
+void NetworkSim::simulate(TimePs end, const char* where) {
+  if (metrics_enabled_) {
+    control_.push(cfg_.metrics.sample_period, EventType::kMetricsSample);
+  }
+  setup_faults();
+  arm_deadline();
+  run_windows(end);
+  collect_lanes();
+  for (int l = 0; l < active_lanes_; ++l) {
+    phases_.in_flight_at_end +=
+        static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
+  }
+  if (paranoid_) self_audit(where);
 }
 
 void NetworkSim::collect_lanes() {
@@ -2133,22 +2129,7 @@ OpenLoopResult NetworkSim::run_open_loop(const TrafficPattern& pattern, double l
     lane_of_node(node).queue.push(static_cast<TimePs>(node_rng_[node].uniform() * mean),
                                   EventType::kGenerate, node);
   }
-  if (metrics_enabled_) {
-    control_queue().push(cfg_.metrics.sample_period, EventType::kMetricsSample);
-  }
-  setup_faults();
-  arm_deadline();
-  if (sharded_run_) {
-    run_windows(duration);
-  } else {
-    run_until(duration);
-  }
-  collect_lanes();
-  for (int l = 0; l < active_lanes_; ++l) {
-    phases_.in_flight_at_end +=
-        static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
-  }
-  if (paranoid_) self_audit("run_open_loop end");
+  simulate(duration, "run_open_loop end");
 
   OpenLoopResult res;
   res.offered_load = load;
@@ -2196,7 +2177,7 @@ ExchangeResult NetworkSim::run_exchange(const ExchangePlan& plan, TimePs time_li
   window_start_ = 0;
   window_end_ = time_limit;
   gen_end_ = 0;
-  setup_run(/*exchange=*/true);  // always demotes to serial
+  setup_run(/*exchange=*/true);  // always one lane
 
   exchange_remaining_ = plan.total_bytes();
   D2NET_REQUIRE(exchange_remaining_ > 0, "empty exchange plan");
@@ -2204,18 +2185,7 @@ ExchangeResult NetworkSim::run_exchange(const ExchangePlan& plan, TimePs time_li
     nics_[node].messages = plan.per_node[node];
     lane_of_node(node).queue.push(0, EventType::kNicFree, node);
   }
-  if (metrics_enabled_) {
-    control_queue().push(cfg_.metrics.sample_period, EventType::kMetricsSample);
-  }
-  setup_faults();
-  arm_deadline();
-  run_until(time_limit);
-  collect_lanes();
-  for (int l = 0; l < active_lanes_; ++l) {
-    phases_.in_flight_at_end +=
-        static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
-  }
-  if (paranoid_) self_audit("run_exchange end");
+  simulate(time_limit, "run_exchange end");
 
   ExchangeResult res;
   res.total_bytes = plan.total_bytes();

@@ -18,16 +18,20 @@
 // serialization per hop (20.48 ns at 100 Gb/s / 256 B) — small against the
 // 100 ns router traversal — and does not affect saturation behavior.
 //
-// Sharded execution (SimConfig::shards > 1, see docs/sharded_sim.md): the
-// router set is partitioned across worker event cores ("lanes") under
-// conservative time-window synchronization. The wire latency on cut links
-// is guaranteed lookahead, so each lane may safely execute every event
-// within one link latency of the global window floor; cross-shard packet
-// and credit arrivals are exchanged through per-lane mailboxes at window
-// barriers. The (time, okey, seq) event order realized by EventQueue is
-// push-site independent, so a sharded run reproduces the serial run's
-// event stream — and its FNV-1a digest — bit for bit (enforced by
-// tests/test_determinism_digest.cpp).
+// Execution (see docs/sharded_sim.md): one window driver runs every
+// simulation. Packet events live on per-lane event queues, control events
+// (faults, the fault control plane, watchdog and metrics ticks) on one
+// control queue that runs single-threaded at window barriers. With
+// SimConfig::shards > 1 the router set is partitioned across worker event
+// cores ("lanes") under conservative time-window synchronization: the wire
+// latency on cut links is guaranteed lookahead, so each lane may safely
+// execute every event within one link latency of the global window floor,
+// and cross-shard packet and credit arrivals are exchanged through
+// per-lane mailboxes at window barriers. A serial run is the one-lane case
+// with no lookahead bound. The (time, okey, seq) event order realized by
+// EventQueue is push-site independent, so a sharded run reproduces the
+// serial run's event stream — and its FNV-1a digest — bit for bit
+// (enforced by tests/test_determinism_digest.cpp).
 #pragma once
 
 #include <chrono>
@@ -70,8 +74,8 @@ struct OpenLoopResult {
   /// for the benches' events/sec reporting).
   std::int64_t events_processed = 0;
   /// FNV-1a digest of the dispatched event stream; 0 unless
-  /// SimConfig::collect_event_digest. Identical across scheduler kinds,
-  /// sweep parallelism, and shard counts (tests/test_determinism_digest.cpp).
+  /// SimConfig::collect_event_digest. Identical across sweep parallelism
+  /// and shard counts (tests/test_determinism_digest.cpp).
   std::uint64_t event_digest = 0;
   double avg_hops = 0.0;
   /// Share of packets the routing algorithm sent minimally (1.0 for MIN).
@@ -172,9 +176,9 @@ class NetworkSim final : public PortLoadProvider {
                                TimePs warmup);
 
   /// Closed-loop exchange run; aborts (completed = false) at `time_limit`.
-  /// Always executes serially (completion detection and post-completion
-  /// statistics need a global event view); SimConfig::shards > 1 demotes
-  /// with a stderr note.
+  /// Always executes on one lane (completion detection and
+  /// post-completion statistics need a global event view);
+  /// SimConfig::shards > 1 demotes with a stderr note.
   ExchangeResult run_exchange(const ExchangePlan& plan, TimePs time_limit);
 
   // PortLoadProvider (read by UGAL at injection time):
@@ -300,15 +304,19 @@ class NetworkSim final : public PortLoadProvider {
 
   /// One worker event core: a private event queue, packet pool and
   /// statistics block over the routers the partition assigned to it. Serial
-  /// runs use lane 0 for everything. Never shared between threads inside a
-  /// window; all cross-lane traffic goes through outboxes/ledgers drained
-  /// single-threaded at barriers.
+  /// runs use lane 0 for every packet event. Never shared between threads
+  /// inside a window; all cross-lane traffic goes through outboxes/ledgers
+  /// drained single-threaded at barriers.
   struct Lane {
     int id = 0;
     EventQueue queue;
     PacketPool pool;
     std::int64_t events_processed = 0;
     std::uint64_t progress = 0;
+    TimePs now = 0;  ///< time of the last event this lane dispatched
+    // Per-lane wall-clock deadline state (see kDeadlineStride).
+    int deadline_countdown = 0;
+    bool timed_out = false;
     // statistics (merged by collect_lanes() at run end)
     std::int64_t ejected_bytes_window = 0;
     std::int64_t packets_injected = 0;
@@ -347,15 +355,10 @@ class NetworkSim final : public PortLoadProvider {
   int out_port_toward(int router, int neighbor) const;
   int out_port_for_packet(int router, const Packet& pkt) const;
 
-  int lane_index_of_router(int r) const { return sharded_run_ ? lane_of_router_[r] : 0; }
-  int lane_index_of_node(int n) const { return sharded_run_ ? lane_of_node_[n] : 0; }
+  int lane_index_of_router(int r) const { return active_lanes_ > 1 ? lane_of_router_[r] : 0; }
+  int lane_index_of_node(int n) const { return active_lanes_ > 1 ? lane_of_node_[n] : 0; }
   Lane& lane_of_router(int r) { return lanes_[static_cast<std::size_t>(lane_index_of_router(r))]; }
   Lane& lane_of_node(int n) { return lanes_[static_cast<std::size_t>(lane_index_of_node(n))]; }
-  /// Queue that carries the serialized control events (kFault, kWatchdog,
-  /// kMetricsSample, and the kFaultDetect/kFloodArrive control plane):
-  /// lane 0's queue for serial runs, the coordinator-side control queue for
-  /// sharded ones.
-  EventQueue& control_queue() { return sharded_run_ ? control_ : lanes_[0].queue; }
 
   void try_inject(Lane& ln, int node, TimePs now);
   void handle_arrive_router(Lane& ln, int pkt_id, int router, int in_port, int vc,
@@ -366,20 +369,29 @@ class NetworkSim final : public PortLoadProvider {
   void handle_arrive_node(Lane& ln, int pkt_id, TimePs now);
   void handle_metrics_sample(TimePs now);
   void dispatch(Lane& ln, const Event& e);
-  /// Serial event loop over lane 0 (the pre-sharding engine, unchanged).
-  void run_until(TimePs end);
 
-  // --- sharded driver (see docs/sharded_sim.md) ---
+  // --- window driver (see docs/sharded_sim.md) ---
   /// Per-run mode selection: applies shard demotion (shard-unsafe routing,
   /// tracing, exchange workloads) with a one-time stderr note and validates
   /// the sharded-run preconditions.
   void setup_run(bool exchange);
-  /// Conservative time-window loop: barriers exchange mailboxes, merge the
+  /// The run body shared by both workloads: seeds the control queue
+  /// (metrics tick, faults, watchdog), arms the deadline, drives the
+  /// windows to `end`, merges the lanes and audits (`where` names the
+  /// audit site).
+  void simulate(TimePs end, const char* where);
+  /// The one dispatch loop: barriers exchange mailboxes, merge the
   /// per-lane digest logs, run serialized control timestamps, and launch
-  /// parallel windows of width = lookahead (one link latency).
+  /// windows — parallel ones of width = lookahead (one link latency) when
+  /// sharded, one window up to the next control event when serial.
   void run_windows(TimePs end);
-  /// Executes every lane event with time < limit (one window, one thread).
+  /// Executes every lane event with time < limit (one window, one thread);
+  /// stops early on exchange completion or an expired deadline.
   void run_lane_window(Lane& ln, TimePs limit);
+  /// True once the run must end: wedged, timed out, or exchange complete.
+  bool stopped() const {
+    return wedged_ || timed_out_ || (exchange_mode_ && exchange_remaining_ == 0);
+  }
   /// Single-threaded execution of one control timestamp: interleaves the
   /// control queue and all lane queues in exact (time, okey) order until no
   /// event at `tc` remains (fault application can spawn same-time events).
@@ -444,9 +456,9 @@ class NetworkSim final : public PortLoadProvider {
   bool outstanding_work() const;
 
   // --- modeled control plane (FaultConfig::propagation; see
-  // docs/resilience.md). All of it runs on the control queue — serialized
-  // steps when sharded, the ordinary serial loop otherwise — so learning is
-  // single-threaded and bit-identical across shard counts.
+  // docs/resilience.md). All of it runs on the control queue in serialized
+  // steps, so learning is single-threaded and bit-identical across shard
+  // counts.
   /// kFaultDetect: `router`'s missed-credit timeout for schedule entry
   /// `idx` fires; it learns locally and originates the flood.
   void handle_fault_detect(int router, int idx, TimePs now);
@@ -514,7 +526,9 @@ class NetworkSim final : public PortLoadProvider {
   std::vector<VoqCell> voq_;
   std::vector<NicState> nics_;
   std::vector<Lane> lanes_;
-  EventQueue control_;  ///< coordinator-side control events (sharded runs)
+  /// Control events (kFault, kWatchdog, kMetricsSample and the
+  /// kFaultDetect/kFloodArrive control plane), run by serialized_step.
+  EventQueue control_;
   /// Per-entity RNG streams (seeded per run from SimConfig::seed): one per
   /// node (generation, destination draw, injection routing) and one per
   /// router (salvage rerouting). Entity-local streams make the draw
@@ -525,8 +539,7 @@ class NetworkSim final : public PortLoadProvider {
   /// Per-node injection counter behind Packet::uid; reset per run.
   std::vector<std::uint64_t> node_uid_ctr_;
 
-  int active_lanes_ = 1;      ///< lanes the current/last run uses (after demotion)
-  bool sharded_run_ = false;  ///< active_lanes_ > 1
+  int active_lanes_ = 1;  ///< lanes the current/last run uses (after demotion)
   /// True while the coordinator executes a serialized control timestamp:
   /// cross-lane sends push directly (single-threaded) instead of through
   /// the mailboxes.
@@ -581,15 +594,13 @@ class NetworkSim final : public PortLoadProvider {
   std::uint64_t watch_last_ = 0;
 
   // wall-clock deadline (cooperative cancellation; see
-  // SimConfig::wall_limit_seconds). Serial runs read the clock once per
-  // kDeadlineStride dispatched events, sharded runs once per window
-  // barrier; either way the event sequence — and thus every result — is
-  // bit-identical whether the deadline is off, armed but unhit, or absent
-  // entirely.
+  // SimConfig::wall_limit_seconds). Each lane reads the clock once per
+  // kDeadlineStride events it dispatches (Lane::deadline_countdown), so the
+  // event sequence — and thus every result — is bit-identical whether the
+  // deadline is off, armed but unhit, or absent entirely.
   static constexpr int kDeadlineStride = 2048;
   bool deadline_enabled_ = false;
   bool timed_out_ = false;
-  int deadline_countdown_ = 0;
   std::chrono::steady_clock::time_point deadline_{};
 
   bool paranoid_ = false;  ///< SimConfig::paranoid or D2NET_PARANOID env

@@ -455,6 +455,29 @@ TEST(Deadline, UnhitBudgetLeavesResultsBitIdentical) {
   EXPECT_EQ(a.avg_latency_ns, b.avg_latency_ns);
 }
 
+TEST(Deadline, ShardedRunTimesOutWithPartialStats) {
+  // Each lane counts down its own deadline stride inside the window loop:
+  // an over-budget sharded run must stop with partial statistics instead
+  // of simulating hours of network time.
+  const Topology sf = build_slim_fly(5);
+  const UniformTraffic uni(sf.num_nodes());
+  SimConfig cfg;
+  cfg.seed = 5;
+  cfg.shards = 2;
+  cfg.wall_limit_seconds = 0.15;
+  SimStack stack(sf, RoutingStrategy::kMinimal, cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const OpenLoopResult r = stack.run_open_loop(uni, 0.9, us(50'000'000), us(1));
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(stack.sim().shards_used(), 2);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_GT(r.packets_injected, 0);
+  EXPECT_GT(r.events_processed, 0);
+  EXPECT_GT(r.phases.delivered_warmup + r.phases.delivered_measured, 0);
+  EXPECT_LT(wall, 10.0);
+}
+
 TEST(Deadline, FailedPointsAreJournaledAndRerunOnResume) {
   const Topology sf = build_slim_fly(5);
   const UniformTraffic good(sf.num_nodes());

@@ -22,13 +22,15 @@ SimConfig fast_config() {
 
 // ------------------------------------------------------------ event queue
 
-TEST(EventQueue, OrdersByTimeThenFifo) {
+TEST(EventQueue, OrdersByTimeThenOkeyThenFifo) {
   EventQueue q;
-  q.push(100, EventType::kNicFree, 1);
-  q.push(50, EventType::kNicFree, 2);
-  q.push(100, EventType::kNicFree, 3);
+  q.push_keyed(100, 5, EventType::kNicFree, 1);
+  q.push_keyed(50, 9, EventType::kNicFree, 2);
+  q.push_keyed(100, 5, EventType::kNicFree, 3);
+  q.push_keyed(100, 4, EventType::kNicFree, 4);
   EXPECT_EQ(q.pop().a, 2);
-  EXPECT_EQ(q.pop().a, 1);  // same time: insertion order
+  EXPECT_EQ(q.pop().a, 4);  // same time: smaller okey first
+  EXPECT_EQ(q.pop().a, 1);  // same (time, okey): insertion order
   EXPECT_EQ(q.pop().a, 3);
   EXPECT_TRUE(q.empty());
 }

@@ -1,5 +1,5 @@
-// Parallel sweep infrastructure tests: the thread pool, the 4-ary event
-// queue, per-point seed derivation, and — the core guarantee — that a
+// Parallel sweep infrastructure tests: the thread pool, the event queue
+// (wheel plus overflow heap), per-point seed derivation, and — the core guarantee — that a
 // serial (jobs=1) and a parallel (jobs=4) sweep over the small paper
 // configurations produce identical results.
 #include <gtest/gtest.h>
@@ -107,48 +107,146 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
   EXPECT_EQ(ran.load(), 63);
 }
 
-// ------------------------------------------------- event queue (4-ary heap)
+// ----------------------------------------- event queue (wheel + overflow heap)
 
-TEST(EventQueue4ary, MatchesReferenceHeapOnRandomStress) {
-  struct Ref {
-    TimePs time;
-    std::uint64_t seq;
-    bool operator>(const Ref& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
-  EventQueue q;
-  q.reserve(1 << 12);
-  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref;
+struct RefEvent {
+  TimePs time;
+  std::uint64_t okey;
+  std::uint64_t seq;
+  bool operator>(const RefEvent& o) const {
+    if (time != o.time) return time > o.time;
+    if (okey != o.okey) return okey > o.okey;
+    return seq > o.seq;
+  }
+};
+
+/// Drives an EventQueue and a std::priority_queue in lock step; every pop
+/// must agree with the reference on the full (time, okey, seq) order.
+class QueueChecker {
+ public:
+  void push(TimePs time, std::uint64_t okey) {
+    q_.push_keyed(time, okey, EventType::kNicFree);
+    ref_.push({time, okey, seq_++});
+  }
+  RefEvent pop() {
+    const RefEvent want = ref_.top();
+    ref_.pop();
+    EXPECT_EQ(q_.next_time(), want.time);
+    EXPECT_EQ(q_.peek().seq, want.seq);
+    const Event got = q_.pop();
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.okey, want.okey);
+    EXPECT_EQ(got.seq, want.seq);
+    return want;
+  }
+  void drain() {
+    while (!ref_.empty() && !::testing::Test::HasFailure()) pop();
+    EXPECT_TRUE(q_.empty());
+  }
+  /// clear() keeps the sequence counter running, so the mirror does too.
+  void clear() {
+    q_.clear();
+    ref_ = {};
+    EXPECT_TRUE(q_.empty());
+  }
+  bool empty() const { return ref_.empty(); }
+  std::size_t size() const { return ref_.size(); }
+
+ private:
+  EventQueue q_;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> ref_;
+  std::uint64_t seq_ = 0;
+};
+
+// Wheel geometry (sim/event_queue.h): L1 buckets of 2^12 ps spanning 2^18
+// ps, L2 buckets of 2^18 ps spanning the 2^24 ps (~16.8 us) horizon; later
+// events overflow into the heap.
+constexpr TimePs kL1Span = TimePs{1} << 18;
+constexpr TimePs kHorizon = TimePs{1} << 24;
+
+TEST(EventQueue, MatchesReferenceOnRandomStress) {
+  // Arbitrary interleaving with times that also land before already
+  // popped ones: the queue is a priority queue, not only a monotone one.
+  QueueChecker q;
   Rng rng(99);
-  std::uint64_t seq = 0;
-  // Interleave pushes and pops the way the simulator does (queue stays
-  // partially full) and check full agreement on (time, seq).
-  for (int round = 0; round < 2000; ++round) {
+  for (int round = 0; round < 2000 && !HasFailure(); ++round) {
     const int pushes = 1 + static_cast<int>(rng.next_below(8));
     for (int i = 0; i < pushes; ++i) {
-      const auto t = static_cast<TimePs>(rng.next_below(1 << 16));
-      q.push(t, EventType::kNicFree, round);
-      ref.push({t, seq++});
+      q.push(static_cast<TimePs>(rng.next_below(1 << 16)), rng.next_below(4));
     }
     const int pops = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pushes) + 1));
-    for (int i = 0; i < pops && !ref.empty(); ++i) {
-      const Event e = q.pop();
-      EXPECT_EQ(e.time, ref.top().time);
-      EXPECT_EQ(e.seq, ref.top().seq);
-      ref.pop();
-    }
+    for (int i = 0; i < pops && !q.empty(); ++i) q.pop();
   }
-  while (!ref.empty()) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, ref.top().time);
-    EXPECT_EQ(e.seq, ref.top().seq);
-    ref.pop();
-  }
-  EXPECT_TRUE(q.empty());
+  q.drain();
 }
 
-TEST(EventQueue4ary, NextTimeAndPopThrowOnEmpty) {
+TEST(EventQueue, MatchesReferenceOnSimulatorShapedStream) {
+  // Time advances with the pops, as in the engine. Pushes land in the L1
+  // ring, the L2 ring, beyond the horizon (heap overflow), or at exactly
+  // the current time with a smaller okey than the event just popped (the
+  // push_keyed clamp into the draining active bucket). Periodic full
+  // drains followed by sparse far pushes make the wheel re-anchor from the
+  // overflow heap.
+  QueueChecker q;
+  Rng rng(7);
+  for (int i = 0; i < 64; ++i) q.push(static_cast<TimePs>(rng.next_below(kL1Span)), 100);
+  for (int round = 0; round < 20000 && !HasFailure(); ++round) {
+    if (q.empty()) q.push(static_cast<TimePs>(rng.next_below(kHorizon)), 100);
+    const RefEvent cur = q.pop();
+    const int pushes = static_cast<int>(rng.next_below(3));
+    for (int i = 0; i < pushes; ++i) {
+      const std::uint64_t pick = rng.next_below(20);
+      if (pick == 0 && cur.okey > 0) {
+        q.push(cur.time, rng.next_below(cur.okey));
+        continue;
+      }
+      TimePs dt = 0;
+      if (pick < 12) {
+        dt = static_cast<TimePs>(rng.next_below(kL1Span));
+      } else if (pick < 17) {
+        dt = static_cast<TimePs>(rng.next_below(kHorizon));
+      } else {
+        dt = kHorizon + static_cast<TimePs>(rng.next_below(4 * kHorizon));
+      }
+      q.push(cur.time + dt, 1 + rng.next_below(200));
+    }
+    if (round % 2500 == 2499) {
+      // Drain, then leave only events more than one horizon apart: each
+      // pop empties both rings and the wheel re-anchors at the heap front.
+      q.drain();
+      for (int k = 1; k <= 20; ++k) {
+        q.push(cur.time + 2 * k * kHorizon + static_cast<TimePs>(rng.next_below(kL1Span)),
+               100);
+      }
+    }
+  }
+  q.drain();
+}
+
+TEST(EventQueue, ClearWithWheelHalfFull) {
+  // clear() with events in the active bucket, both rings and the heap must
+  // leave a queue that orders fresh pushes correctly, including ones far
+  // earlier than the cleared contents.
+  QueueChecker q;
+  Rng rng(3);
+  const TimePs base = 5 * kHorizon;
+  for (int i = 0; i < 400; ++i) {
+    q.push(base + static_cast<TimePs>(rng.next_below(3 * kHorizon)), rng.next_below(8));
+  }
+  for (int i = 0; i < 150; ++i) q.pop();
+  ASSERT_FALSE(q.empty());
+  q.clear();
+  for (int i = 0; i < 300; ++i) {
+    q.push(static_cast<TimePs>(rng.next_below(2 * kHorizon)), rng.next_below(8));
+  }
+  for (int i = 0; i < 100; ++i) q.pop();
+  for (int i = 0; i < 100; ++i) {
+    q.push(base + static_cast<TimePs>(rng.next_below(kHorizon)), rng.next_below(8));
+  }
+  q.drain();
+}
+
+TEST(EventQueue, NextTimeAndPopThrowOnEmpty) {
   // Empty-queue misuse is guarded by D2NET_HOT_ASSERT: fatal only in
   // Debug/sanitizer builds (undefined in Release, where the engine's
   // queue_.empty() checks make the calls unreachable).
@@ -165,7 +263,7 @@ TEST(EventQueue4ary, NextTimeAndPopThrowOnEmpty) {
 #endif
 }
 
-TEST(EventQueue4ary, ClearKeepsFifoTieBreakMonotone) {
+TEST(EventQueue, ClearKeepsFifoTieBreakMonotone) {
   EventQueue q;
   q.push(10, EventType::kNicFree, 1);
   q.clear();
