@@ -1,7 +1,8 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths behind the
-// figure reproductions — GF arithmetic, topology construction, BFS tables,
-// route decisions, the partitioner, raw event-queue throughput, and the
-// intrusive VOQ / packet-pool / CSR primitives of the event core.
+// figure reproductions — GF arithmetic, topology construction, minimal
+// routing tables, route decisions, the partitioner, raw event-queue
+// throughput, and the intrusive VOQ / packet-pool / CSR primitives of the
+// event core.
 //
 // Two modes:
 //   bench_micro_core [gbench args]   the usual google-benchmark CLI
@@ -60,14 +61,21 @@ void BM_BuildOft(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildOft)->Arg(6)->Arg(12);
 
-void BM_MinimalTable(benchmark::State& state) {
-  const Topology topo = build_slim_fly(static_cast<int>(state.range(0)));
+void BM_MinimalTable(benchmark::State& state, Topology (*build)(int)) {
+  const Topology topo = build(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     MinimalTable table(topo);
     benchmark::DoNotOptimize(table.distance(0, 1));
   }
 }
-BENCHMARK(BM_MinimalTable)->Arg(7)->Arg(13);
+BENCHMARK_CAPTURE(BM_MinimalTable, slim_fly, [](int q) { return build_slim_fly(q); })
+    ->Arg(7)
+    ->Arg(13)
+    ->Arg(31)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MinimalTable, mlfm, [](int h) { return build_mlfm(h); })
+    ->Arg(15)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RouteDecisionMinimal(benchmark::State& state) {
   const Topology topo = build_slim_fly(7);
@@ -330,6 +338,15 @@ int write_json_snapshot(const std::string& path) {
     benchmark::DoNotOptimize(q.empty());
   });
 
+  // All-pairs minimal table build at the flow benchmark's scale (SF q=31,
+  // 1,922 routers), best of 3.
+  const Topology sf31 = build_slim_fly(31);
+  const double ms_table_sf31 = best_ns_per_op(1, 1, [&](std::int64_t) {
+                                 const MinimalTable t31(sf31);
+                                 benchmark::DoNotOptimize(t31.distance(0, 1));
+                               }) /
+                               1e6;
+
   // Paper-scale sharded-vs-serial comparison. The speedup ratios are only
   // meaningful relative to the recorded core count: lanes time-slice on a
   // host with fewer physical cores than shards, so the ratio saturates at
@@ -373,7 +390,8 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
-  std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f\n", ns_wheel);
+  std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);
+  std::fprintf(f, "  \"ms_minimal_table_sf31\": %.2f\n", ms_table_sf31);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("events/sec: minimal=%lld ugal=%lld -> %s\n",

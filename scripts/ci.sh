@@ -6,7 +6,8 @@
 # accidentally ordered), then an ASan+UBSan build that runs the
 # fault-injection and simulator-edge suites — the code paths that tear
 # down in-flight state mid-run and are therefore the likeliest source of
-# lifetime/indexing bugs — and finally an end-to-end kill/resume drill on
+# lifetime/indexing bugs — plus the flow-engine and routing-table suites
+# (index arithmetic over flat arrays), and finally an end-to-end kill/resume drill on
 # d2net_campaign running campaigns/fig6.json: journal a sweep, truncate the
 # journal mid-file with a torn final line (what a SIGKILL leaves behind),
 # resume, and require the resumed --json output to be byte-identical to an
@@ -110,6 +111,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-ci-asan -j "$JOBS" --target test_flow_engine
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-asan/tests/test_flow_engine
+  # The minimal table's bitset build indexes R/64-word rows of flat level
+  # matrices and fills CSR offsets through per-row cursors; its suite
+  # checks every family and fault filter against a BFS reference.
+  cmake --build build-ci-asan -j "$JOBS" --target test_routing
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-ci-asan/tests/test_routing
 fi
 
 if [[ "${SKIP_RESUME:-0}" != "1" ]]; then
@@ -156,7 +163,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
                events_per_sec_sharded_serial events_per_sec_sharded_2 \
                events_per_sec_sharded_4 ns_voq_push_pop \
                ns_pool_alloc_release ns_csr_next_hops \
-               ns_event_queue_wheel; do
+               ns_event_queue_wheel ms_minimal_table_sf31; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")
       if [[ -z "$base" || -z "$cur" ]]; then

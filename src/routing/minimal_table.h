@@ -2,11 +2,11 @@
 // router pair, the distance and the set of next-hop neighbors that lie on a
 // shortest path. Stored flat for cache friendliness at R^2 scale.
 //
-// For dynamic fault injection the table is rebuildable mid-run: rebuild()
-// and update_link() recompute it against a link-aliveness filter, tolerate
-// a disconnected graph (distance() < 0, empty next_hops()), and
-// update_link() recomputes only the BFS trees a single link change can
-// actually affect (incremental invalidation).
+// The build is level-synchronous over per-router bitsets of distance layers
+// (docs/perf.md, "Routing table build"), cheap enough that dynamic fault
+// injection simply calls rebuild() against a link-aliveness filter after
+// every change; a rebuild tolerates a disconnected graph (distance() < 0,
+// empty next_hops()).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,11 @@ class Topology;
 /// Returns true when the directed adjacency a -> b is currently usable.
 using LinkFilter = std::function<bool(int, int)>;
 
+/// Returns `entries` as a CSR offset; throws ArgumentError naming the router
+/// count and the entry count when it does not fit the table's 32-bit
+/// next-hop offsets.
+std::uint32_t checked_next_hop_entries(std::uint64_t entries, int routers);
+
 class MinimalTable {
  public:
   /// Builds the table for the healthy topology; throws if disconnected.
@@ -36,19 +41,12 @@ class MinimalTable {
   /// Longest finite shortest path (unreachable pairs excluded).
   int diameter() const { return diameter_; }
 
-  /// Recomputes the whole table over the links `alive` admits (nullptr =
-  /// all). Unlike the constructor this tolerates disconnection.
+  /// Recomputes the whole table over the directed links `alive` admits
+  /// (nullptr = all). Unlike the constructor this tolerates disconnection.
   void rebuild(const Topology& topo, const LinkFilter& alive);
 
-  /// Incremental variant after the single link (u, v) changed state:
-  /// re-runs BFS only from sources whose shortest-path structure the change
-  /// can affect (for a cut: sources for which the link was tight; for a
-  /// revival: sources it brings strictly closer), then repacks the next-hop
-  /// sets. Equivalent to rebuild() (enforced by test).
-  void update_link(const Topology& topo, const LinkFilter& alive, int u, int v);
-
   /// Ordered router pairs (a != b) with no surviving path.
-  std::int64_t unreachable_pairs() const;
+  std::int64_t unreachable_pairs() const { return unreachable_; }
 
   /// Neighbors of `a` that start a shortest path toward `b`; empty iff
   /// a == b.
@@ -96,14 +94,9 @@ class MinimalTable {
     return static_cast<std::size_t>(a) * static_cast<std::size_t>(n_) + b;
   }
 
-  /// BFS from s over the admitted links into dist_ (unreached rows = -1).
-  void bfs_row(const Topology& topo, const LinkFilter& alive, int s);
-  /// Rebuilds nh_off_/nh_data_ from dist_ and the admitted adjacency.
-  void pack_next_hops(const Topology& topo, const LinkFilter& alive);
-  void recompute_diameter();
-
   int n_ = 0;
   int diameter_ = 0;
+  std::int64_t unreachable_ = 0;
   std::vector<std::int16_t> dist_;
   std::vector<std::uint32_t> nh_off_;  ///< size n^2 + 1
   std::vector<int> nh_data_;

@@ -8,11 +8,15 @@
 // ~16.8 us L2 horizon overflow into the heap, whose shallow tree and
 // hole-based sifts (one Event moved per level) keep the rare far-future
 // pushes cheap. Pops consume a sorted "active bucket"; pushes are O(1) ring
-// appends except for the rare push into the active bucket itself, which
-// insertion-sorts into the unconsumed tail. Nearly every event a saturated
-// simulation schedules (serialization ends, head eligibility, credit
-// returns) lands within a few L1 buckets of `now`, so steady-state cost is
-// a ring append plus an amortized small sort instead of an O(log n) sift.
+// appends except for the rare push earlier than the L1 window (into the
+// active bucket's span or before it), which goes to a small "early" heap
+// that pop() merges with the active bucket, O(log n) per push. Run start
+// takes that path: each node's first kGenerate lands at a random time, and
+// every one before the first push's bucket is an early push. Nearly every
+// event a saturated simulation schedules (serialization ends, head
+// eligibility, credit returns) lands within a few L1 buckets of `now`, so
+// steady-state cost is a ring append plus an amortized small sort instead
+// of an O(log n) sift.
 // Measured setup-inclusive at SF q=7 and q=13, the wheel beat a heap-only
 // queue in every pair (docs/perf.md).
 //
@@ -123,16 +127,13 @@ class EventQueue {
     ++size_;
     if (size_ == 1) reanchor(time);
     if (time < l1_start_) {
-      // Lands in (or before) the active bucket: insertion-sort into the
-      // unconsumed tail. Searching from cur_pos_ clamps an event that would
-      // sort before already-consumed entries (a same-time push with a
-      // smaller okey than the event being dispatched) to "popped next" —
-      // exactly where a priority queue would surface it, since every
-      // already-consumed entry was the minimum of the pending set when it
-      // was popped.
-      cur_.insert(std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-                                   cur_.end(), e, before),
-                  e);
+      // Lands in (or before) the active bucket: the early heap, which pop()
+      // merges with the unconsumed tail. An event that would sort before
+      // already-consumed entries (a same-time push with a smaller okey than
+      // the event being dispatched) is popped next — exactly where a
+      // priority queue would surface it, since every already-consumed entry
+      // was the minimum of the pending set when it was popped.
+      push_heap(early_, e);
     } else if (time < l1_limit_) {
       const std::size_t b1 = l1_bucket(time);
       l1_[b1].push_back(e);
@@ -142,7 +143,7 @@ class EventQueue {
       l2_[b2].push_back(e);
       l2_mask_ |= std::uint64_t{1} << b2;
     } else {
-      push_heap(e);
+      push_heap(heap_, e);
     }
   }
 
@@ -152,7 +153,7 @@ class EventQueue {
   Event pop() {
     D2NET_HOT_ASSERT(size_ > 0, "pop() on empty EventQueue");
     --size_;
-    if (cur_pos_ >= cur_.size()) advance();
+    if (head_is_early()) return pop_heap(early_);
     return cur_[cur_pos_++];
   }
 
@@ -161,8 +162,7 @@ class EventQueue {
   /// state change).
   TimePs next_time() {
     D2NET_HOT_ASSERT(size_ > 0, "next_time() on empty EventQueue");
-    if (cur_pos_ >= cur_.size()) advance();
-    return cur_[cur_pos_].time;
+    return head_is_early() ? early_.front().time : cur_[cur_pos_].time;
   }
 
   /// The event pop() would return next, without removing it (the sharded
@@ -170,8 +170,7 @@ class EventQueue {
   /// comparing heads). Same const caveat as next_time().
   const Event& peek() {
     D2NET_HOT_ASSERT(size_ > 0, "peek() on empty EventQueue");
-    if (cur_pos_ >= cur_.size()) advance();
-    return cur_[cur_pos_];
+    return head_is_early() ? early_.front() : cur_[cur_pos_];
   }
 
   /// Pre-sizes the backing stores (one sim reuses the queue across runs).
@@ -194,6 +193,7 @@ class EventQueue {
   /// continuing it across runs cannot change any ordering).
   void clear() {
     heap_.clear();
+    early_.clear();
     cur_.clear();
     cur_pos_ = 0;
     if (l1_mask_ != 0) {
@@ -242,25 +242,26 @@ class EventQueue {
     return (from + static_cast<std::size_t>(std::countr_zero(rotated))) % 64;
   }
 
-  // --- overflow heap primitives (hole-based sifts: one Event moved per level) ---
+  // --- heap primitives for the overflow and early heaps (hole-based
+  // sifts: one Event moved per level) ---
 
-  void push_heap(const Event& e) {
-    heap_.push_back(e);
-    std::size_t i = heap_.size() - 1;
+  static void push_heap(std::vector<Event>& heap, const Event& e) {
+    heap.push_back(e);
+    std::size_t i = heap.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!before(e, heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
-    heap_[i] = e;
+    heap[i] = e;
   }
 
-  Event pop_heap() {
-    const Event top = heap_.front();
-    const Event last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
+  static Event pop_heap(std::vector<Event>& heap) {
+    const Event top = heap.front();
+    const Event last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
     if (n > 0) {
       std::size_t i = 0;
       for (;;) {
@@ -269,18 +270,31 @@ class EventQueue {
         const std::size_t end = std::min(first + kArity, n);
         std::size_t best = first;
         for (std::size_t c = first + 1; c < end; ++c) {
-          if (before(heap_[c], heap_[best])) best = c;
+          if (before(heap[c], heap[best])) best = c;
         }
-        if (!before(heap_[best], last)) break;
-        heap_[i] = heap_[best];
+        if (!before(heap[best], last)) break;
+        heap[i] = heap[best];
         i = best;
       }
-      heap_[i] = last;
+      heap[i] = last;
     }
     return top;
   }
 
   // --- wheel machinery ---
+
+  /// Surfaces the earliest pending event: true when it is early_.front(),
+  /// false when it is cur_[cur_pos_]. Early events precede everything in
+  /// the rings and the overflow heap (they were pushed below a window start
+  /// that only moves forward), so the wheel advances only when early_ is
+  /// empty.
+  bool head_is_early() {
+    if (!early_.empty() && (cur_pos_ >= cur_.size() || before(early_.front(), cur_[cur_pos_]))) {
+      return true;
+    }
+    if (cur_pos_ >= cur_.size()) advance();
+    return false;
+  }
 
   /// Re-anchors the (empty) wheel windows around the first pending time.
   void reanchor(TimePs t) {
@@ -344,7 +358,7 @@ class EventQueue {
   void drain_heap_into_l2() {
     const TimePs limit = l2_start_ + kL2Span;
     while (!heap_.empty() && heap_.front().time < limit) {
-      const Event e = pop_heap();
+      const Event e = pop_heap(heap_);
       const std::size_t b2 = l2_bucket(e.time);
       l2_[b2].push_back(e);
       l2_mask_ |= std::uint64_t{1} << b2;
@@ -353,7 +367,7 @@ class EventQueue {
 
   void drain_heap_into_l2_and_l1() {
     while (!heap_.empty() && heap_.front().time < l1_limit_) {
-      const Event e = pop_heap();
+      const Event e = pop_heap(heap_);
       const std::size_t b1 = l1_bucket(e.time);
       l1_[b1].push_back(e);
       l1_mask_ |= std::uint64_t{1} << b1;
@@ -363,6 +377,7 @@ class EventQueue {
 
   std::size_t size_ = 0;
   std::vector<Event> heap_;
+  std::vector<Event> early_;  ///< min-heap of pushes below l1_start_
   std::uint64_t next_seq_ = 0;
 
   // Wheel state. cur_ is the sorted active bucket with consume index

@@ -946,12 +946,11 @@ bool NetworkSim::out_port_dead(int router, int out_idx) const {
 }
 
 bool NetworkSim::link_admitted(int a, int b) const {
-  // The shared table's incremental invalidation is only sound when its
-  // filter changes one element per update_link call. Oracle mode satisfies
-  // that by refreshing inside apply_fault; propagation refreshes at each
-  // update's *convergence*, so the filter must be the converged state the
-  // table has been walked through (table_up / table_router_dead_), not the
-  // believed `up` flags, which run ahead of the refresh sequence.
+  // Oracle mode refreshes inside apply_fault, so the physical state is the
+  // table's filter. Propagation refreshes at each update's *convergence*,
+  // so the filter must be the converged state (table_up /
+  // table_router_dead_), not the believed `up` flags, which run ahead of
+  // it.
   if (prop_enabled_) {
     if (table_router_dead_[a] || table_router_dead_[b]) return false;
     return routers_[a].out_ports[out_port_toward(a, b)].table_up;
@@ -960,14 +959,9 @@ bool NetworkSim::link_admitted(int a, int b) const {
   return routers_[a].out_ports[out_port_toward(a, b)].up;
 }
 
-void NetworkSim::refresh_fault_table(int u, int v) {
+void NetworkSim::refresh_fault_table() {
   if (!cfg_.fault.reroute || fault_table_ == nullptr) return;
-  const LinkFilter alive = [this](int a, int b) { return link_admitted(a, b); };
-  if (u >= 0) {
-    fault_table_->update_link(topo_, alive, u, v);
-  } else {
-    fault_table_->rebuild(topo_, alive);
-  }
+  fault_table_->rebuild(topo_, [this](int a, int b) { return link_admitted(a, b); });
   fstats_.unreachable_pairs =
       std::max(fstats_.unreachable_pairs, fault_table_->unreachable_pairs());
 }
@@ -1302,16 +1296,14 @@ void NetworkSim::learn_update(int router, int idx, bool detection, TimePs now) {
     // Every live router now agrees with the physical truth about this
     // update, so the shared routing table may fold it in: salvage sampling
     // stops proposing the dead element without consulting local views. The
-    // converged-state flags advance in lock-step with the refresh sequence
-    // (see link_admitted).
+    // converged-state flags are the table's filter (see link_admitted).
     if (u.v < 0) {
       table_router_dead_[u.u] = u.alive ? 0 : 1;
-      refresh_fault_table(-1, -1);
     } else {
       routers_[u.u].out_ports[out_port_toward(u.u, u.v)].table_up = u.alive;
       routers_[u.v].out_ports[out_port_toward(u.v, u.u)].table_up = u.alive;
-      refresh_fault_table(u.u, u.v);
     }
+    refresh_fault_table();
   }
 }
 
@@ -1373,7 +1365,7 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
         schedule_detections(idx, now);
       } else {
         uv.up = vu.up = false;
-        refresh_fault_table(f.a, f.b);  // before draining, so salvage avoids the cut
+        refresh_fault_table();  // before draining, so salvage avoids the cut
         drain_out_port(f.a, pu, now, /*credit_returns=*/true, /*allow_salvage=*/true);
         drain_out_port(f.b, pv, now, /*credit_returns=*/true, /*allow_salvage=*/true);
       }
@@ -1407,7 +1399,7 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
           resync_link_credits(f.a, f.b);
           resync_link_credits(f.b, f.a);
         }
-        refresh_fault_table(f.a, f.b);
+        refresh_fault_table();
         try_grant(lane_of_router(f.a), f.a, pu, now);
         try_grant(lane_of_router(f.b), f.b, pv, now);
       }
@@ -1426,7 +1418,7 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
         ++rs.out_ports[i].epoch;  // wires die in both directions
         ++routers_[nbrs[i]].out_ports[out_port_toward(nbrs[i], r)].epoch;
       }
-      if (!prop_enabled_) refresh_fault_table(-1, -1);
+      if (!prop_enabled_) refresh_fault_table();
       // Everything queued inside the dead router dies with it; no credits
       // move (the upstream side resyncs when the router comes back).
       for (int o = 0; o < static_cast<int>(rs.out_ports.size()); ++o) {
@@ -1468,7 +1460,7 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
         ++fstats_.convergence.updates;
         schedule_detections(idx, now);
       } else {
-        refresh_fault_table(-1, -1);
+        refresh_fault_table();
         for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
           const int n = nbrs[i];
           if (!routers_[r].out_ports[i].up || router_dead_[n]) continue;

@@ -243,8 +243,8 @@ class NetworkSim final : public PortLoadProvider {
     /// arrival checks regardless of what any router believes.
     bool phys_up = true;
     /// Liveness the shared fault table currently reflects (propagation
-    /// runs only): advanced at each update's convergence, in lock-step
-    /// with the incremental table refresh (see link_admitted).
+    /// runs only): advanced at each update's convergence, just before the
+    /// table is rebuilt (see link_admitted).
     bool table_up = true;
     std::uint32_t epoch = 0;   ///< bumped per cut; mismatched packets died on the wire
     /// Per-VC bytes of credit currently in flight toward this port; lets a
@@ -424,9 +424,9 @@ class NetworkSim final : public PortLoadProvider {
   /// registers the link-state update and schedules the detections (all
   /// believed-state changes then happen at detect/flood time).
   void apply_fault(int idx, TimePs now);
-  /// Refreshes the fault table after the link (u, v) changed (u < 0 = full
-  /// rebuild, used by router events) and tracks peak disconnection.
-  void refresh_fault_table(int u, int v);
+  /// Rebuilds the fault table over link_admitted after any link or router
+  /// change and tracks peak disconnection.
+  void refresh_fault_table();
   /// Empties every VOQ feeding `out_idx`, salvaging or dropping the
   /// stranded packets. `credit_returns` off when the router itself died.
   void drain_out_port(int router, int out_idx, TimePs now, bool credit_returns,

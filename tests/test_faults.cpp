@@ -344,48 +344,43 @@ TEST(Faults, WatchdogStaysQuietOnARunThatFinishes) {
 
 // ------------------------------------------------- table & burst helpers
 
-TEST(Faults, UpdateLinkMatchesFullRebuild) {
-  // The incremental invalidation must be indistinguishable from a scratch
-  // rebuild for every pair — distances and next-hop sets — through a cut
-  // and the subsequent revival.
+TEST(Faults, CutThenReviveRebuildMatchesFreshTable) {
+  // The table the fault layer rebuilds in place must be indistinguishable
+  // from a fresh one for every pair (distances and ordered next-hop
+  // sequences) through a cut and the subsequent revival.
   const Topology topo = build_slim_fly(5);
   const int u = topo.links()[2].r1;
   const int v = topo.links()[2].r2;
   const auto alive = [&](int a, int b) {
     return !((a == u && b == v) || (a == v && b == u));
   };
-
-  MinimalTable incremental(topo);
-  incremental.update_link(topo, alive, u, v);  // cut
-  MinimalTable scratch(topo);
-  scratch.rebuild(topo, alive);
-
   const int n = topo.num_routers();
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      ASSERT_EQ(incremental.distance(a, b), scratch.distance(a, b))
-          << "distance mismatch after cut at (" << a << ", " << b << ")";
-      const auto ih = incremental.next_hops(a, b);
-      const auto sh = scratch.next_hops(a, b);
-      ASSERT_TRUE(std::equal(ih.begin(), ih.end(), sh.begin(), sh.end()))
-          << "next-hop mismatch after cut at (" << a << ", " << b << ")";
+  const auto expect_same = [n](const MinimalTable& got, const MinimalTable& want,
+                               const char* stage) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(got.distance(a, b), want.distance(a, b))
+            << "distance mismatch after " << stage << " at (" << a << ", " << b << ")";
+        const auto gh = got.next_hops(a, b);
+        const auto wh = want.next_hops(a, b);
+        ASSERT_TRUE(std::equal(gh.begin(), gh.end(), wh.begin(), wh.end()))
+            << "next-hop mismatch after " << stage << " at (" << a << ", " << b << ")";
+      }
     }
-  }
-  EXPECT_EQ(incremental.unreachable_pairs(), scratch.unreachable_pairs());
+    EXPECT_EQ(got.diameter(), want.diameter());
+    EXPECT_EQ(got.unreachable_pairs(), want.unreachable_pairs());
+  };
 
-  incremental.update_link(topo, nullptr, u, v);  // revival
-  MinimalTable healthy(topo);
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      ASSERT_EQ(incremental.distance(a, b), healthy.distance(a, b))
-          << "distance mismatch after revival at (" << a << ", " << b << ")";
-      const auto ih = incremental.next_hops(a, b);
-      const auto hh = healthy.next_hops(a, b);
-      ASSERT_TRUE(std::equal(ih.begin(), ih.end(), hh.begin(), hh.end()))
-          << "next-hop mismatch after revival at (" << a << ", " << b << ")";
-    }
-  }
-  EXPECT_EQ(incremental.unreachable_pairs(), 0);
+  MinimalTable reused(topo);
+  reused.rebuild(topo, alive);  // cut
+  MinimalTable cut(topo);
+  cut.rebuild(topo, alive);
+  expect_same(reused, cut, "cut");
+  EXPECT_GT(reused.distance(u, v), 1);
+
+  reused.rebuild(topo, nullptr);  // revival
+  expect_same(reused, MinimalTable(topo), "revival");
+  EXPECT_EQ(reused.unreachable_pairs(), 0);
 }
 
 // ------------------------------------------- detection & propagation

@@ -2,8 +2,12 @@
 // obligations of Section 3 of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <queue>
+#include <vector>
 
 #include "common/rng.h"
 #include "routing/cdg.h"
@@ -12,6 +16,9 @@
 #include "routing/minimal_table.h"
 #include "routing/ugal_routing.h"
 #include "routing/valiant_routing.h"
+#include "topology/dragonfly.h"
+#include "topology/fat_tree.h"
+#include "topology/hyperx.h"
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
@@ -72,6 +79,178 @@ TEST(MinimalTable, EnumerationMatchesPathCounts) {
   // Cross-column LR pair: exactly 1 path.
   table.enumerate_paths(mlfm_lr_id(h, 0, 1), mlfm_lr_id(h, 1, 2), paths);
   EXPECT_EQ(paths.size(), 1u);
+}
+
+// ------------------------------------------- MinimalTable vs BFS oracle
+
+/// The straightforward construction the bitset build replaced, kept as the
+/// reference: one queue BFS per source over the admitted directed links,
+/// then next hops gathered per pair as the admitted neighbors v of a (in
+/// neighbors() order, parallel links repeated) with dist(v, b) ==
+/// dist(a, b) - 1.
+struct ReferenceTable {
+  int n = 0;
+  std::vector<int> dist;
+  std::vector<std::vector<int>> next_hops;
+
+  ReferenceTable(const Topology& topo, const LinkFilter& alive) : n(topo.num_routers()) {
+    const auto admits = [&](int a, int b) { return alive == nullptr || alive(a, b); };
+    const auto at = [this](int a, int b) {
+      return static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+             static_cast<std::size_t>(b);
+    };
+    dist.assign(at(n, 0), -1);
+    for (int s = 0; s < n; ++s) {
+      std::queue<int> q;
+      dist[at(s, s)] = 0;
+      q.push(s);
+      while (!q.empty()) {
+        const int u = q.front();
+        q.pop();
+        for (int v : topo.neighbors(u)) {
+          if (dist[at(s, v)] < 0 && admits(u, v)) {
+            dist[at(s, v)] = dist[at(s, u)] + 1;
+            q.push(v);
+          }
+        }
+      }
+    }
+    next_hops.resize(at(n, 0));
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        const int d = dist[at(a, b)];
+        if (d <= 0) continue;
+        for (int v : topo.neighbors(a)) {
+          if (admits(a, v) && dist[at(v, b)] == d - 1) next_hops[at(a, b)].push_back(v);
+        }
+      }
+    }
+  }
+};
+
+/// Asserts the table equals the reference over all ordered pairs:
+/// distance, diameter, unreachable pairs and ordered next-hop sequences.
+void expect_matches_reference(const Topology& topo, const LinkFilter& alive,
+                              const MinimalTable& table) {
+  const ReferenceTable ref(topo, alive);
+  const int n = ref.n;
+  ASSERT_EQ(table.num_routers(), n);
+  int diameter = 0;
+  std::int64_t unreachable = 0;
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      const std::size_t i = static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                            static_cast<std::size_t>(b);
+      ASSERT_EQ(table.distance(a, b), ref.dist[i])
+          << topo.name() << ": distance at (" << a << ", " << b << ")";
+      const auto got = table.next_hops(a, b);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.next_hops[i].begin(),
+                             ref.next_hops[i].end()))
+          << topo.name() << ": next hops at (" << a << ", " << b << ")";
+      diameter = std::max(diameter, ref.dist[i]);
+      unreachable += ref.dist[i] < 0 ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(table.diameter(), diameter) << topo.name();
+  EXPECT_EQ(table.unreachable_pairs(), unreachable) << topo.name();
+}
+
+/// 70 routers (two bitset words per row) on a ring with a chord every
+/// tenth router and a parallel 0-1 link: diameter well above two, and a
+/// pair whose next-hop sequence repeats a neighbor.
+Topology ring_with_chords() {
+  Topology t("ring70", TopologyKind::kCustom);
+  const int n = 70;
+  for (int r = 0; r < n; ++r) t.add_router({}, 1);
+  for (int r = 0; r < n; ++r) t.add_link(r, (r + 1) % n);
+  for (int r = 0; r < n; r += 10) t.add_link(r, (r + 35) % n);
+  t.add_link(0, 1);
+  t.finalize();
+  return t;
+}
+
+TEST(MinimalTableOracle, HealthyTablesMatchBfsOnEveryFamily) {
+  const std::vector<Topology> topologies = [] {
+    std::vector<Topology> v;
+    v.push_back(build_slim_fly(5));
+    v.push_back(build_slim_fly(7));
+    v.push_back(build_slim_fly(13));
+    v.push_back(build_mlfm(3));
+    v.push_back(build_mlfm(4));
+    v.push_back(build_oft(4));
+    v.push_back(build_oft(5));
+    v.push_back(build_hyperx2d_balanced(12));
+    v.push_back(build_dragonfly_balanced(7));
+    v.push_back(build_fat_tree2(8));
+    v.push_back(build_fat_tree3(4));
+    v.push_back(ring_with_chords());
+    return v;
+  }();
+  for (const Topology& topo : topologies) {
+    SCOPED_TRACE(topo.name());
+    expect_matches_reference(topo, nullptr, MinimalTable(topo));
+  }
+}
+
+TEST(MinimalTableOracle, ParallelLinkRepeatsTheNextHop) {
+  const Topology topo = ring_with_chords();
+  const MinimalTable table(topo);
+  const auto nh = table.next_hops(0, 1);
+  ASSERT_EQ(nh.size(), 2u);
+  EXPECT_EQ(nh[0], 1);
+  EXPECT_EQ(nh[1], 1);
+}
+
+TEST(MinimalTableOracle, FilteredRebuildsMatchBfs) {
+  const Topology sf = build_slim_fly(7);
+  const int u = sf.links()[5].r1;
+  const int v = sf.links()[5].r2;
+  const int dead = 11;
+  const Topology ring = ring_with_chords();
+
+  struct Case {
+    const char* name;
+    const Topology* topo;
+    LinkFilter alive;
+  };
+  const std::vector<Case> cases = {
+      {"single cut", &sf,
+       [=](int a, int b) { return !((a == u && b == v) || (a == v && b == u)); }},
+      {"dead router", &sf, [=](int a, int b) { return a != dead && b != dead; }},
+      {"asymmetric cut", &sf, [=](int a, int b) { return !(a == u && b == v); }},
+      // No chord touches routers 1..4, so cutting 0-1 (both parallel
+      // copies) and 4-5 separates them from the rest.
+      {"disconnecting cut", &ring,
+       [](int a, int b) {
+         const auto is = [&](int x, int y) { return (a == x && b == y) || (a == y && b == x); };
+         return !(is(0, 1) || is(4, 5));
+       }},
+      {"parallel link, one direction", &ring, [](int a, int b) { return !(a == 1 && b == 0); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MinimalTable table(*c.topo);
+    table.rebuild(*c.topo, c.alive);
+    expect_matches_reference(*c.topo, c.alive, table);
+  }
+  MinimalTable split(ring);
+  split.rebuild(ring, cases[3].alive);
+  EXPECT_LT(split.distance(0, 2), 0);
+  EXPECT_TRUE(split.next_hops(0, 2).empty());
+  EXPECT_EQ(split.unreachable_pairs(), 2 * 4 * 66);
+}
+
+TEST(MinimalTableOracle, OffsetOverflowFailsWithRoutersAndCount) {
+  EXPECT_EQ(checked_next_hop_entries(UINT32_MAX, 9), UINT32_MAX);
+  try {
+    checked_next_hop_entries(std::uint64_t{UINT32_MAX} + 1, 4321);
+    FAIL() << "expected ArgumentError";
+  } catch (const ArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("minimal_table.cpp"), std::string::npos) << what;
+    EXPECT_NE(what.find("R = 4321"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967296"), std::string::npos) << what;
+  }
 }
 
 // --------------------------------------------------------------- Minimal

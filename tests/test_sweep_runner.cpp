@@ -184,7 +184,7 @@ TEST(EventQueue, MatchesReferenceOnSimulatorShapedStream) {
   // Time advances with the pops, as in the engine. Pushes land in the L1
   // ring, the L2 ring, beyond the horizon (heap overflow), or at exactly
   // the current time with a smaller okey than the event just popped (the
-  // push_keyed clamp into the draining active bucket). Periodic full
+  // early heap, popped before the rest of the draining bucket). Periodic full
   // drains followed by sparse far pushes make the wheel re-anchor from the
   // overflow heap.
   QueueChecker q;
@@ -219,6 +219,34 @@ TEST(EventQueue, MatchesReferenceOnSimulatorShapedStream) {
                100);
       }
     }
+  }
+  q.drain();
+}
+
+TEST(EventQueue, DescendingBurstMatchesReference) {
+  // Run-start shape: once the wheel is anchored, a burst of pushes lands
+  // earlier and earlier, below the L1 window (the early heap). Popping one
+  // event of a dense bucket first makes that bucket active, so the burst
+  // lands both inside its span (interleaving with its unconsumed tail) and
+  // before it. Repeated times exercise the okey and seq tie-breaks.
+  QueueChecker q;
+  Rng rng(5);
+  const TimePs base = TimePs{1} << 20;
+  for (int i = 0; i < 64; ++i) {
+    q.push(base + static_cast<TimePs>(rng.next_below(4096)), rng.next_below(4));
+  }
+  q.pop();
+  for (int i = 0; i <= 4096; ++i) {
+    const TimePs t = base + 4095 - static_cast<TimePs>(i) * 97;
+    q.push(t, static_cast<std::uint64_t>(i % 3));
+    if (i % 512 == 0) q.push(t, 1);
+  }
+  for (int round = 0; round < 3000 && !HasFailure(); ++round) {
+    const RefEvent cur = q.pop();
+    if (round % 3 == 0) {
+      q.push(cur.time + static_cast<TimePs>(rng.next_below(kL1Span)), rng.next_below(4));
+    }
+    if (round % 7 == 0) q.push(cur.time, 0);
   }
   q.drain();
 }
