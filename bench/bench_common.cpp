@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "common/error.h"
 #include "common/journal.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
-#include "sim/campaign.h"
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
@@ -429,8 +426,9 @@ std::string render_point_json(const SweepPoint& pt) {
 }
 
 std::string render_exchange_row_json(const ExchangeRow& row) {
-  if (row.restored && !row.restored_json.empty()) return row.restored_json;
-  const ExchangeResult& r = row.result;
+  const SweepPoint& pt = row.point;
+  if (pt.restored && !pt.restored_json.empty()) return pt.restored_json;
+  const ExchangeResult& r = pt.exchange;
   std::ostringstream os;
   os.precision(10);  // matches BenchReport::write's stream settings
   os << "{\"system\": \"" << json_escape(row.system) << "\", \"routing\": \""
@@ -447,6 +445,10 @@ std::string render_exchange_row_json(const ExchangeRow& row) {
   // rows byte-stable across versions.
   if (r.timed_out) os << ", \"timed_out\": true";
   if (r.faults.wedged) os << ", \"wedged\": true";
+  if (pt.attempts > 1) os << ", \"attempts\": " << pt.attempts;
+  if (pt.failed) {
+    os << ", \"failed\": true, \"error\": \"" << json_escape(pt.error) << "\"";
+  }
   if (r.faults.enabled) {
     os << ", \"faults\": ";
     write_faults(os, r.faults);
@@ -457,6 +459,19 @@ std::string render_exchange_row_json(const ExchangeRow& row) {
   }
   os << "}";
   return os.str();
+}
+
+namespace {
+ExchangeRow exchange_row(const CampaignRun& run, std::size_t s, const SweepPoint& pt) {
+  return {run.systems[s], to_string(run.series[s].strategy), pt};
+}
+}  // namespace
+
+std::function<std::string(std::size_t, const SweepPoint&)> exchange_row_serializer(
+    const CampaignRun& run) {
+  return [&run](std::size_t s, const SweepPoint& pt) {
+    return render_exchange_row_json(exchange_row(run, s, pt));
+  };
 }
 
 std::string bench_manifest(const std::string& bench_name, const BenchOptions& opts) {
@@ -591,21 +606,29 @@ void BenchReport::write() const {
 int BenchReport::finish() const {
   std::int64_t failed = 0;
   std::int64_t timed_out = 0;
+  auto tally = [&](const std::string& what, const SweepPoint& pt) {
+    if (pt.timed_out()) {
+      ++timed_out;
+      std::fprintf(stderr, "timed out: %s (%d attempt%s)\n", what.c_str(), pt.attempts,
+                   pt.attempts == 1 ? "" : "s");
+    }
+    if (pt.failed) {
+      ++failed;
+      std::fprintf(stderr, "FAILED: %s\n", pt.error.c_str());
+    }
+  };
   for (const SweepRecord& sw : sweeps_) {
     for (std::size_t s = 0; s < sw.series.size(); ++s) {
       for (const SweepPoint& pt : sw.series[s]) {
-        if (pt.result.timed_out) {
-          ++timed_out;
-          std::fprintf(stderr, "timed out: %s / %s load %.3g (%d attempt%s)\n",
-                       sw.title.c_str(),
-                       s < sw.labels.size() ? sw.labels[s].c_str() : "?", pt.offered,
-                       pt.attempts, pt.attempts == 1 ? "" : "s");
-        }
-        if (pt.failed) {
-          ++failed;
-          std::fprintf(stderr, "FAILED: %s\n", pt.error.c_str());
-        }
+        char load[32];
+        std::snprintf(load, sizeof(load), " load %.3g", pt.offered);
+        tally(sw.title + " / " + (s < sw.labels.size() ? sw.labels[s] : "?") + load, pt);
       }
+    }
+  }
+  for (const ExchangeRecord& ex : exchanges_) {
+    for (const ExchangeRow& row : ex.rows) {
+      tally(ex.title + " / " + row.system + " " + row.routing, row.point);
     }
   }
   if (failed > 0 || timed_out > 0) {
@@ -676,7 +699,7 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
     ropts.journal = report->journal();
     ropts.scope = title;  // unique per journal, enforced by register_scope
     ropts.tolerate_failures = true;
-    ropts.serialize = [](const SweepPoint& pt) { return render_point_json(pt); };
+    ropts.serialize = [](std::size_t, const SweepPoint& pt) { return render_point_json(pt); };
   }
   SweepRunner runner(ropts);
   auto series = runner.run(specs);
@@ -698,146 +721,48 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
   return series;
 }
 
-std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
-                                            const std::vector<ExchangeRowSpec>& rows,
-                                            std::int64_t bytes_per_pair, A2aOrder order,
-                                            TimePs time_limit, const BenchOptions& opts,
-                                            BenchReport* report,
-                                            const ExchangeRunControl* ctl) {
-  D2NET_REQUIRE(!rows.empty(), "exchange table needs at least one row");
-  // exchange_table_title is shared with the campaign merge step's key
-  // enumeration — the composed scope must never drift between them.
-  const std::string title = exchange_table_title(title_base, bytes_per_pair, order);
-  const bool quiet = ctl != nullptr && ctl->quiet;
-  const std::vector<char>* selected = ctl != nullptr ? ctl->selected : nullptr;
-  if (selected != nullptr) {
-    D2NET_REQUIRE(selected->size() == rows.size(),
-                  "selection mask must cover every exchange row");
+std::vector<ExchangeRow> run_exchange_table(const CampaignRun& run, const BenchOptions& opts,
+                                            BenchReport* report) {
+  D2NET_REQUIRE(!run.series.empty() && run.systems.size() == run.series.size(),
+                "exchange table needs one system label per row");
+  SweepRunOptions ropts = opts.sweep_options();
+  if (report != nullptr && report->journal() != nullptr) {
+    ropts.journal = report->journal();
+    ropts.scope = run.title;  // unique per journal, enforced by register_scope
+    ropts.tolerate_failures = true;
+    ropts.serialize = exchange_row_serializer(run);
   }
+  SweepRunner runner(ropts);
+  const auto points = runner.run(run.series);
 
-  SimConfig cfg = opts.sweep_options().config;
-  // --point-timeout bounds the wall clock of each exchange run.
-  cfg.wall_limit_seconds = opts.point_timeout_s;
-
-  SweepJournal* journal = ctl != nullptr && ctl->journal != nullptr
-                              ? ctl->journal
-                              : (report != nullptr ? report->journal() : nullptr);
-  auto key_for = [&](std::size_t i) { return title + "#" + std::to_string(i); };
-  auto fingerprint = [](const Topology& t) {
-    std::ostringstream os;
-    os << "r=" << t.num_routers() << ",n=" << t.num_nodes() << ",l=" << t.num_links();
-    return os.str();
-  };
-  if (journal != nullptr && (ctl == nullptr || ctl->register_scope)) {
-    journal->register_scope(title);
-  }
-
-  if (!quiet) std::printf("== %s ==\n", title.c_str());
+  std::printf("== %s ==\n", run.title.c_str());
   Table t({"system", "routing", "eff. throughput", "completion (us)"});
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::int64_t restored_rows = 0;
-
-  // One plan per distinct topology: the plan is a pure function of
-  // (num_nodes, bytes, order, seed), so sharing it across this topology's
-  // rows is behavior-identical to rebuilding per row.
-  std::map<const Topology*, ExchangePlan> plans;
-  std::vector<ExchangeRow> out;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ExchangeRowSpec& spec = rows[i];
-    D2NET_REQUIRE(spec.topo != nullptr, "exchange row needs a topology");
-    if (selected != nullptr && !(*selected)[i]) {
-      // Another worker's row: untouched placeholder (never presented).
-      out.emplace_back();
-      continue;
-    }
-    ExchangeRow row;
-    row.system = spec.system;
-    row.routing = to_string(spec.strategy);
-
-    const JournalEntry* e = journal != nullptr ? journal->find(key_for(i)) : nullptr;
-    if (e != nullptr && e->completed()) {
-      // Same second lock as the sweep runner's restore path: the manifest
-      // hash should have caught config drift, but splicing a row from a
-      // different table would be silent data corruption.
-      D2NET_REQUIRE(e->label == row.system + " " + row.routing &&
-                        e->seed == opts.seed && e->topo == fingerprint(*spec.topo),
-                    "journal entry '" + e->key +
-                        "' does not match the current exchange table "
-                        "(system/routing/seed/topology drift); refusing to mix "
-                        "results — use a fresh --journal dir");
-      row.restored = true;
-      row.restored_json = e->payload;
-      row.result.completed = e->exchange_completed == 1;
-      row.result.effective_throughput = e->throughput;
-      row.result.completion_us = e->completion_us;
-      row.result.avg_latency_ns = e->avg_latency_ns;
-      row.result.timed_out = e->status == "timed_out";
-      row.result.faults.wedged = e->wedged;
-      ++restored_rows;
-    } else {
-      auto pit = plans.find(spec.topo);
-      if (pit == plans.end()) {
-        pit = plans
-                  .emplace(spec.topo, make_all_to_all_plan(spec.topo->num_nodes(),
-                                                           bytes_per_pair, order, opts.seed))
-                  .first;
-      }
-      const auto row_start = std::chrono::steady_clock::now();
-      SimStack stack(*spec.topo, spec.strategy, cfg);
-      row.result = stack.run_exchange(pit->second, time_limit);
-      if (journal != nullptr) {
-        JournalEntry je;
-        je.key = key_for(i);
-        je.label = row.system + " " + row.routing;
-        je.topo = fingerprint(*spec.topo);
-        je.seed = opts.seed;
-        je.status = row.result.timed_out ? "timed_out" : "ok";
-        je.events = 0;  // ExchangeResult does not count events
-        je.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - row_start)
-                .count();
-        je.throughput = row.result.effective_throughput;
-        je.avg_latency_ns = row.result.avg_latency_ns;
-        je.exchange_completed = row.result.completed ? 1 : 0;
-        je.completion_us = row.result.completion_us;
-        je.wedged = row.result.faults.wedged;
-        je.payload = render_exchange_row_json(row);
-        journal->append(je);
-      }
-    }
-
+  std::vector<ExchangeRow> rows;
+  for (std::size_t s = 0; s < run.series.size(); ++s) {
+    ExchangeRow row = exchange_row(run, s, points[s].front());
     // An aborted run has no meaningful completion time; an explicit marker
-    // beats a misleading 0.0 in the table/CSV/JSON. The three abort modes
-    // are distinct: WEDGED = no simulated progress (watchdog), DEADLINE =
-    // --point-timeout wall-clock budget expired, TIMEOUT = the simulated
-    // time limit elapsed while still progressing.
-    const ExchangeResult& r = row.result;
-    const char* abort_marker =
-        r.faults.wedged ? "WEDGED" : r.timed_out ? "DEADLINE" : "TIMEOUT";
-    if (!quiet) {
-      t.add(row.system, row.routing,
-            r.completed ? fmt(r.effective_throughput, 3) : abort_marker,
-            r.completed ? fmt(r.completion_us, 1) : abort_marker);
-    }
-    out.push_back(std::move(row));
+    // beats a misleading 0.0 in the table/CSV/JSON. The abort modes are
+    // distinct: FAIL = every attempt threw, WEDGED = no simulated progress
+    // (watchdog), DEADLINE = --point-timeout wall-clock budget expired,
+    // TIMEOUT = the simulated time limit elapsed while still progressing.
+    const ExchangeResult& r = row.point.exchange;
+    const char* marker = row.point.failed ? "FAIL"
+                         : r.faults.wedged ? "WEDGED"
+                         : r.timed_out     ? "DEADLINE"
+                                           : "TIMEOUT";
+    t.add(row.system, row.routing, r.completed ? fmt(r.effective_throughput, 3) : marker,
+          r.completed ? fmt(r.completion_us, 1) : marker);
+    rows.push_back(std::move(row));
   }
-  if (!quiet) {
-    t.print(std::cout);
-    if (opts.csv) t.print_csv(std::cout);
-  }
-
-  SweepRunStats stats;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  stats.points = static_cast<std::int64_t>(out.size());
-  stats.restored_points = restored_rows;
-  stats.jobs = 1;
-  if (restored_rows > 0 && !quiet) {
+  t.print(std::cout);
+  if (opts.csv) t.print_csv(std::cout);
+  const SweepRunStats& st = runner.stats();
+  if (st.restored_points > 0) {
     std::printf("durability: %lld row(s) restored from journal\n",
-                static_cast<long long>(restored_rows));
+                static_cast<long long>(st.restored_points));
   }
-  if (report != nullptr) report->add_exchange(title, out, stats);
-  return out;
+  if (report != nullptr) report->add_exchange(run.title, rows, st);
+  return rows;
 }
 
 }  // namespace d2net::bench

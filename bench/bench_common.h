@@ -5,6 +5,7 @@
 // perf/result JSON (--json).
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,7 +14,7 @@
 #include "common/cli.h"
 #include "common/journal.h"
 #include "common/table.h"
-#include "sim/exchange.h"
+#include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/sweep_runner.h"
 #include "topology/topology.h"
@@ -125,9 +126,9 @@ std::vector<SystemConfig> paper_systems(bool full);
 /// array: [{"title": ..., "wall_seconds": ..., "points": N, "rows":
 /// [{"system", "routing", "completed", "eff_throughput", "completion_us",
 ///   "delivered_bytes", "total_bytes", "avg_latency_ns", plus optional
-///   "timed_out"/"wedged"/"faults"/"metrics"}]}]. The array is emitted only
-/// when at least one exchange ran, keeping sweep-only benches' output
-/// byte-stable.
+///   "timed_out"/"wedged"/"attempts"/"failed"+"error"/"faults"/"metrics"}]}].
+/// The array is emitted only when at least one exchange ran, keeping
+/// sweep-only benches' output byte-stable.
 ///
 /// Non-finite doubles (a NaN throughput from an empty measurement window,
 /// an infinite latency) are emitted as JSON null via write_json_double —
@@ -149,14 +150,13 @@ std::vector<SystemConfig> paper_systems(bool full);
 /// [{"shard", "routers", "nodes", "events", "messages_sent",
 ///   "capacities": {...}}]} (see docs/sharded_sim.md).
 /// One row of an exchange table (Fig. 13 shape): one (system, routing)
-/// combination's all-to-all result. Restored rows carry their journaled
-/// JSON fragment, spliced back verbatim like sweep points.
+/// combination's all-to-all, as the exchange series' one sweep point
+/// (point.exchange). Restored rows carry their journaled JSON fragment,
+/// spliced back verbatim like sweep points.
 struct ExchangeRow {
   std::string system;
   std::string routing;
-  ExchangeResult result;
-  bool restored = false;
-  std::string restored_json;
+  SweepPoint point;
 };
 
 class BenchReport {
@@ -219,6 +219,12 @@ std::string render_point_json(const SweepPoint& pt);
 /// journaled fragment verbatim.
 std::string render_exchange_row_json(const ExchangeRow& row);
 
+/// The journal serializer (SweepRunOptions::serialize) of an exchange
+/// table: row s of `run` rendered by render_exchange_row_json. Holds `run`
+/// by reference; it must outlive the serializer.
+std::function<std::string(std::size_t, const SweepPoint&)> exchange_row_serializer(
+    const CampaignRun& run);
+
 /// The manifest text for a bench invocation (hashed into the journal; see
 /// docs/durable_sweeps.md for the fields).
 std::string bench_manifest(const std::string& bench_name, const BenchOptions& opts);
@@ -238,48 +244,15 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
     const std::string& title, const std::vector<SweepSeriesSpec>& specs,
     const BenchOptions& opts, BenchReport* report);
 
-/// One planned row of an exchange table: which system (by pointer into the
-/// caller's storage) runs the all-to-all under which routing strategy.
-struct ExchangeRowSpec {
-  std::string system;
-  const Topology* topo = nullptr;
-  RoutingStrategy strategy = RoutingStrategy::kMinimal;
-};
-
-/// Worker-mode execution control for run_exchange_table (see
-/// docs/campaigns.md, distributed campaigns). Null = the solo behavior.
-struct ExchangeRunControl {
-  /// Row mask (size = rows.size()); rows with a zero entry are skipped
-  /// entirely — not restored, not executed, not journaled — and returned
-  /// as empty placeholders. Row keys are positional, so a worker
-  /// executing a slice journals exactly the keys a solo run would.
-  const std::vector<char>* selected = nullptr;
-  /// Register the composed title as a journal scope. A worker executing
-  /// several shards of one table passes false after the first.
-  bool register_scope = true;
-  /// Suppress the printed table/timing (workers execute; only the merged
-  /// run presents).
-  bool quiet = false;
-  /// Journal override: journal rows here instead of report->journal()
-  /// (worker mode runs without a BenchReport). Non-owning.
-  SweepJournal* journal = nullptr;
-};
-
-/// Runs an all-to-all exchange table (the Fig. 13 shape): for each row, one
-/// make_all_to_all_plan(num_nodes, bytes_per_pair, order, opts.seed)
-/// exchange on a fresh SimStack with cfg.seed = opts.seed, bounded by
-/// `time_limit` simulated time and opts.point_timeout_s wall clock. Prints
-/// the table under "== <title_base> (<bytes> B/pair, <order>) ==" (aborted
-/// rows marked WEDGED / DEADLINE / TIMEOUT), appends to `report` when
-/// non-null, and — when the report carries a journal — journals every row
-/// under that composed title as the scope, restoring completed rows on
-/// --resume with byte-identical output. d2net_campaign executes every
-/// exchange step (campaigns/fig13.json among them) through this function.
-std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
-                                            const std::vector<ExchangeRowSpec>& rows,
-                                            std::int64_t bytes_per_pair, A2aOrder order,
-                                            TimePs time_limit, const BenchOptions& opts,
-                                            BenchReport* report,
-                                            const ExchangeRunControl* ctl = nullptr);
+/// Runs an exchange table (the Fig. 13 shape; one exchange series per row,
+/// see SweepSeriesSpec::exchange) through a SweepRunner exactly as
+/// run_and_print_sweep runs a load sweep: opts.jobs workers, retries and
+/// deadlines, and — when the report carries a journal — every row
+/// journaled under run.title, completed rows restored on --resume with
+/// byte-identical output and failed rows re-run. Prints the table under
+/// "== <title> ==" (aborted rows marked WEDGED / DEADLINE / TIMEOUT,
+/// failed rows FAIL) and appends to `report` when non-null.
+std::vector<ExchangeRow> run_exchange_table(const CampaignRun& run, const BenchOptions& opts,
+                                            BenchReport* report);
 
 }  // namespace d2net::bench

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -41,35 +42,24 @@ int execute_campaign(const CampaignSpec& spec, const ExpandedCampaign& plan,
   std::vector<StepSummary> summaries;
 
   for (const CampaignStep& step : plan.steps) {
+    StepSummary sum{step.run().title, step.load ? "sweep" : "exchange"};
+    auto count = [&](const SweepPoint& pt, bool aborted) {
+      ++sum.points;
+      sum.restored += pt.restored ? 1 : 0;
+      sum.timed_out += aborted ? 1 : 0;
+      sum.failed += pt.failed ? 1 : 0;
+    };
     if (step.load) {
-      const auto series = run_and_print_sweep(step.load->title, step.load->series, opts,
-                                              &report);
-      StepSummary sum{step.load->title, "sweep"};
-      for (const auto& s : series) {
-        for (const SweepPoint& pt : s) {
-          ++sum.points;
-          sum.restored += pt.restored ? 1 : 0;
-          sum.timed_out += pt.result.timed_out ? 1 : 0;
-          sum.failed += pt.failed ? 1 : 0;
-        }
+      for (const auto& s : run_and_print_sweep(step.load->title, step.load->series, opts,
+                                               &report)) {
+        for (const SweepPoint& pt : s) count(pt, pt.timed_out());
       }
-      summaries.push_back(std::move(sum));
     } else {
-      const CampaignExchangeSweep& ex = *step.exchange;
-      std::vector<ExchangeRowSpec> rows;
-      for (const CampaignExchangeRow& r : ex.rows) {
-        rows.push_back({r.system, r.topo, r.strategy});
+      for (const ExchangeRow& r : run_exchange_table(*step.exchange, opts, &report)) {
+        count(r.point, !r.point.failed && !r.point.exchange.completed);
       }
-      const auto done = run_exchange_table(ex.title, rows, ex.bytes_per_pair, ex.order,
-                                           ex.time_limit, opts, &report);
-      StepSummary sum{ex.title, "exchange"};
-      for (const ExchangeRow& r : done) {
-        ++sum.points;
-        sum.restored += r.restored ? 1 : 0;
-        sum.timed_out += (!r.result.completed) ? 1 : 0;
-      }
-      summaries.push_back(std::move(sum));
     }
+    summaries.push_back(std::move(sum));
   }
 
   std::printf("\n== campaign summary: %s ==\n", spec.name.c_str());
@@ -257,33 +247,21 @@ int run_campaign_worker(const CampaignSpec& spec, const ExpandedCampaign& plan,
     for (std::size_t i = sh.begin; i < sh.end; ++i) mask[i] = 1;
     const bool first_visit = registered_scopes.insert(scope).second;
 
+    SweepRunOptions ropts = opts.sweep_options();
+    ropts.journal = &journal;
+    ropts.scope = scope;
+    ropts.register_scope = first_visit;
+    ropts.tolerate_failures = true;
     if (step.load) {
-      SweepRunOptions ropts = opts.sweep_options();
-      ropts.journal = &journal;
-      ropts.scope = scope;
-      ropts.register_scope = first_visit;
-      ropts.tolerate_failures = true;
-      ropts.serialize = [](const SweepPoint& pt) { return render_point_json(pt); };
-      ropts.selected = &mask;
-      SweepRunner runner(ropts);
-      runner.run(step.load->series);
-      executed_points += runner.stats().points - runner.stats().restored_points;
-      failed_points += runner.stats().failed_points;
+      ropts.serialize = [](std::size_t, const SweepPoint& pt) { return render_point_json(pt); };
     } else {
-      const CampaignExchangeSweep& ex = *step.exchange;
-      std::vector<ExchangeRowSpec> rows;
-      for (const CampaignExchangeRow& r : ex.rows) {
-        rows.push_back({r.system, r.topo, r.strategy});
-      }
-      ExchangeRunControl ctl;
-      ctl.selected = &mask;
-      ctl.register_scope = first_visit;
-      ctl.quiet = true;
-      ctl.journal = &journal;
-      run_exchange_table(ex.title, rows, ex.bytes_per_pair, ex.order, ex.time_limit,
-                         opts, /*report=*/nullptr, &ctl);
-      executed_points += static_cast<std::int64_t>(sh.end - sh.begin);
+      ropts.serialize = exchange_row_serializer(*step.exchange);
     }
+    ropts.selected = &mask;
+    SweepRunner runner(ropts);
+    runner.run(step.run().series);
+    executed_points += runner.stats().points - runner.stats().restored_points;
+    failed_points += runner.stats().failed_points;
   };
 
   logf("joining campaign '%s': %zu shard(s) of <= %d point(s), lease TTL %.1fs",
@@ -369,19 +347,25 @@ int print_campaign_status(const ExpandedCampaign& plan, const BenchOptions& opts
   }
   std::ostringstream plan_buf;
   plan_buf << plan_in.rdbuf();
-  int num_shards = 0, shard_points = 0;
+  std::int64_t shards_field = 0, points_field = 0;
   try {
     const JsonValue doc = parse_json(plan_buf.str(), plan_path.string());
-    if (const JsonValue* v = doc.find("shards")) num_shards = static_cast<int>(v->integer);
-    if (const JsonValue* v = doc.find("shard_points")) {
-      shard_points = static_cast<int>(v->integer);
-    }
+    if (const JsonValue* v = doc.find("shards")) shards_field = v->integer;
+    if (const JsonValue* v = doc.find("shard_points")) points_field = v->integer;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot parse %s: %s\n", plan_path.string().c_str(), e.what());
     return 1;
   }
-  D2NET_REQUIRE(num_shards >= 1 && shard_points >= 1,
-                "shard plan in '" + plan_path.string() + "' is malformed");
+  // Checked before narrowing: an out-of-range count must not wrap into a
+  // plausible int.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  D2NET_REQUIRE(shards_field >= 1 && shards_field <= kIntMax && points_field >= 1 &&
+                    points_field <= kIntMax,
+                "shard plan in '" + plan_path.string() +
+                    "' is malformed: shards and shard_points must be integers in [1, " +
+                    std::to_string(kIntMax) + "]");
+  const int num_shards = static_cast<int>(shards_field);
+  const int shard_points = static_cast<int>(points_field);
 
   const std::vector<CampaignShard> shards = plan_campaign_shards(plan, shard_points);
   if (static_cast<int>(shards.size()) != num_shards) {

@@ -56,24 +56,20 @@ void print_dry_run(const CampaignSpec& spec, const ExpandedCampaign& plan) {
                 t.num_links());
   }
   for (const CampaignStep& step : plan.steps) {
+    const SweepSeriesSpec& first = step.run().series.front();
     if (step.load) {
-      std::size_t points = 0;
-      for (const SweepSeriesSpec& s : step.load->series) points += s.loads.size();
       std::printf("  sweep    %-48s %zu series x %zu load(s) = %zu point(s)%s\n",
-                  step.load->title.c_str(), step.load->series.size(),
-                  step.load->series.front().loads.size(), points,
-                  step.load->series.front().fault.enabled() ? " [faults]" : "");
+                  step.load->title.c_str(), step.load->series.size(), first.loads.size(),
+                  step_point_count(step), first.fault.enabled() ? " [faults]" : "");
     } else {
       std::printf("  exchange %-48s %zu row(s), %lld B/pair\n",
-                  step.exchange->title.c_str(), step.exchange->rows.size(),
-                  static_cast<long long>(step.exchange->bytes_per_pair));
+                  step.exchange->title.c_str(), step.exchange->series.size(),
+                  static_cast<long long>(first.exchange->bytes_per_pair));
     }
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_campaign(int argc, char** argv) {
   Cli cli("declarative campaign runner: expand and execute a campaigns/*.json spec "
           "(see docs/campaigns.md)");
   cli.flag("spec", std::string{}, "campaign spec file (JSON; required)")
@@ -152,4 +148,17 @@ int main(int argc, char** argv) {
   // Solo path: exactly the pre-distributed behavior (no protocol overhead,
   // byte-identical output).
   return execute_campaign(spec, plan, opts, extra.str());
+}
+
+}  // namespace
+
+// Errors end in one stderr line and an exit code, never in std::terminate:
+// 2 for a located argument/spec error, 1 for anything else.
+int main(int argc, char** argv) {
+  try {
+    return run_campaign(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "d2net_campaign: %s\n", e.what());
+    return dynamic_cast<const ArgumentError*>(&e) != nullptr ? 2 : 1;
+  }
 }

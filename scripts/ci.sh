@@ -3,12 +3,14 @@
 # ctest suite, then a ThreadSanitizer build that runs the parallel-sweep
 # determinism test and the sharded-simulation digest suites to prove both
 # kinds of parallelism are race-free (not just
-# accidentally ordered), then an ASan+UBSan build that runs the
+# accidentally ordered) along with a small fig13 exchange table at --jobs=4,
+# then an ASan+UBSan build that runs the
 # fault-injection and simulator-edge suites — the code paths that tear
 # down in-flight state mid-run and are therefore the likeliest source of
 # lifetime/indexing bugs — plus the flow-engine and routing-table suites
 # (index arithmetic over flat arrays), and finally an end-to-end kill/resume drill on
-# d2net_campaign running campaigns/fig6.json: journal a sweep, truncate the
+# d2net_campaign running campaigns/fig6.json and a 256 B/pair copy of
+# fig13.json: journal a campaign, truncate the
 # journal mid-file with a torn final line (what a SIGKILL leaves behind),
 # resume, and require the resumed --json output to be byte-identical to an
 # uninterrupted run (see docs/durable_sweeps.md).
@@ -27,7 +29,9 @@
 # committed spec under campaigns/ must --dry-run clean, the figure specs
 # (fig6-fig13) must reproduce their committed goldens under
 # tests/golden/campaigns/ byte-for-byte (generated from the per-figure
-# binaries those specs replaced), the transient_faults spec must reproduce
+# binaries those specs replaced; fig13 also at --jobs=4, apart from the
+# top-level "jobs" field, and merged from two lease-sharing workers), a
+# malformed spec must exit 2 naming itself, the transient_faults spec must reproduce
 # bench_ablation_transient_faults' --json byte-for-byte (including the
 # propagation sweep, whose convergence times also get a warn-only +/-20%
 # smoke against BENCH_convergence.json), and a mixed
@@ -87,6 +91,14 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     --spec=campaigns/fig6.json \
     --engine=flow --flow-interval-us=0.2 --duration-us=2 --warmup-us=0.5 \
     --seed=3 --jobs=4 >/dev/null
+  # Exchange rows fan out through the same runner: concurrent points share
+  # one exchange plan, table and intermediate set per topology.
+  mkdir -p build-ci-tsan/drill
+  sed 's/"bytes_per_pair": 7680/"bytes_per_pair": 64/' campaigns/fig13.json \
+    > build-ci-tsan/drill/fig13-64.json
+  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
+    --spec=build-ci-tsan/drill/fig13-64.json --duration-us=2 --warmup-us=0.5 \
+    --seed=3 --jobs=4 >/dev/null
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -120,33 +132,45 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_RESUME:-0}" != "1" ]]; then
-  echo "=== stage 4: crash/resume durability drill (campaigns/fig6.json) ==="
+  echo "=== stage 4: crash/resume durability drill (fig6 sweeps, fig13 exchanges) ==="
   cmake --build build-ci -j "$JOBS" --target d2net_campaign
   BENCH=./build-ci/bench/d2net_campaign
   WORK=build-ci/resume-drill
   rm -rf "$WORK" && mkdir -p "$WORK"
-  ARGS=(--spec=campaigns/fig6.json --duration-us=2 --warmup-us=0.5 --seed=3)
   # wall_seconds / events_per_second are genuine wall-clock measurements and
   # legitimately differ between runs; everything else must match exactly.
   normalize() { sed -E 's/"(wall_seconds|events_per_second)": [0-9.eE+-]+/"\1": X/g' "$1"; }
+  # fig13 at the committed 7680 B/pair is minutes of simulation; the drill
+  # uses the 256 B/pair copy stage 6 pins to its golden.
+  sed 's/"bytes_per_pair": 7680/"bytes_per_pair": 256/' campaigns/fig13.json \
+    > "$WORK/fig13.json"
 
-  "$BENCH" "${ARGS[@]}" --json="$WORK/clean.json" >/dev/null
-  "$BENCH" "${ARGS[@]}" --journal="$WORK/journal-full" --json="$WORK/full.json" >/dev/null
+  drill() {  # drill <name> <spec>
+    local name=$1 ARGS=(--spec="$2" --duration-us=2 --warmup-us=0.5 --seed=3)
+    "$BENCH" "${ARGS[@]}" --json="$WORK/$name-clean.json" >/dev/null
+    "$BENCH" "${ARGS[@]}" --journal="$WORK/$name-journal-full" \
+      --json="$WORK/$name-full.json" >/dev/null
 
-  # Simulated crash: copy the full journal, keep only the first 40% of its
-  # lines, and append a torn final line (no trailing newline).
-  cp -r "$WORK/journal-full" "$WORK/journal-cut"
-  LINES=$(wc -l < "$WORK/journal-cut/journal.jsonl")
-  KEEP=$(( LINES * 2 / 5 )); [[ "$KEEP" -lt 1 ]] && KEEP=1
-  head -n "$KEEP" "$WORK/journal-full/journal.jsonl" > "$WORK/journal-cut/journal.jsonl"
-  printf '{"key": "torn' >> "$WORK/journal-cut/journal.jsonl"
+    # Simulated crash: copy the full journal, keep only the first 40% of its
+    # lines, and append a torn final line (no trailing newline).
+    cp -r "$WORK/$name-journal-full" "$WORK/$name-journal-cut"
+    local LINES KEEP
+    LINES=$(wc -l < "$WORK/$name-journal-cut/journal.jsonl")
+    KEEP=$(( LINES * 2 / 5 )); [[ "$KEEP" -lt 1 ]] && KEEP=1
+    head -n "$KEEP" "$WORK/$name-journal-full/journal.jsonl" \
+      > "$WORK/$name-journal-cut/journal.jsonl"
+    printf '{"key": "torn' >> "$WORK/$name-journal-cut/journal.jsonl"
 
-  "$BENCH" "${ARGS[@]}" --journal="$WORK/journal-cut" --resume \
-    --json="$WORK/resumed.json" >/dev/null
+    "$BENCH" "${ARGS[@]}" --journal="$WORK/$name-journal-cut" --resume \
+      --json="$WORK/$name-resumed.json" >/dev/null
 
-  diff <(normalize "$WORK/resumed.json") <(normalize "$WORK/full.json")
-  diff <(normalize "$WORK/resumed.json") <(normalize "$WORK/clean.json")
-  echo "resume drill OK: resumed output is byte-identical ($KEEP/$LINES journal lines survived the crash)"
+    diff <(normalize "$WORK/$name-resumed.json") <(normalize "$WORK/$name-full.json")
+    diff <(normalize "$WORK/$name-resumed.json") <(normalize "$WORK/$name-clean.json")
+    echo "resume drill OK ($name): resumed output is byte-identical" \
+         "($KEEP/$LINES journal lines survived the crash)"
+  }
+  drill fig6 campaigns/fig6.json
+  drill fig13 "$WORK/fig13.json"
 fi
 
 if [[ "${SKIP_PERF:-0}" != "1" ]]; then
@@ -250,6 +274,35 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
     "$CAMPAIGN" --spec="$spec" "${ARGS[@]}" --json="$WORK/$fig-spec.json" >/dev/null
     diff <(normalize "$WORK/$fig-spec.json") "$GOLDEN/$fig.json"
   done
+  # Exchange rows honour --jobs: fig13 at --jobs=4 matches the same golden
+  # apart from the top-level "jobs" field.
+  "$CAMPAIGN" --spec="$WORK/fig13.json" --duration-us=2 --warmup-us=0.5 --seed=3 \
+    --jobs=4 --json="$WORK/fig13-jobs4.json" >/dev/null
+  diff <(normalize "$WORK/fig13-jobs4.json" | sed -E 's/^  "jobs": [0-9]+,$/  "jobs": J,/') \
+    <(sed -E 's/^  "jobs": [0-9]+,$/  "jobs": J,/' "$GOLDEN/fig13.json")
+
+  # ... and through two lease-sharing workers, merged.
+  "$CAMPAIGN" --spec="$WORK/fig13.json" "${ARGS[@]}" --journal="$WORK/fig13-dist" \
+    --workers=2 --worker-id=a --lease-ttl=30 > "$WORK/fig13-a.log" 2>&1 &
+  WA=$!
+  "$CAMPAIGN" --spec="$WORK/fig13.json" "${ARGS[@]}" --journal="$WORK/fig13-dist" \
+    --workers=2 --worker-id=b --lease-ttl=30 > "$WORK/fig13-b.log" 2>&1 &
+  WB=$!
+  wait "$WA"
+  wait "$WB"
+  "$CAMPAIGN" --spec="$WORK/fig13.json" "${ARGS[@]}" --journal="$WORK/fig13-dist" \
+    --merge --json="$WORK/fig13-merged.json" > "$WORK/fig13-merge.log"
+  grep -q "0 missing, 0 failed" "$WORK/fig13-merge.log"
+  diff <(normalize "$WORK/fig13-merged.json") "$GOLDEN/fig13.json"
+
+  # A malformed spec is a located error and exit code 2, never an abort.
+  echo '{"name": 1}' > "$WORK/malformed.json"
+  set +e
+  "$CAMPAIGN" --spec="$WORK/malformed.json" --dry-run 2> "$WORK/malformed.err"
+  STATUS=$?
+  set -e
+  [[ "$STATUS" -eq 2 ]]
+  grep -q "$WORK/malformed.json" "$WORK/malformed.err"
 
   ./build-ci/bench/bench_ablation_transient_faults "${ARGS[@]}" \
     --json="$WORK/tf-bench.json" >/dev/null

@@ -59,12 +59,12 @@ bool read_journal_manifest(const std::string& dir, std::string& text_out,
 /// best-effort (the write itself already succeeded).
 bool fsync_dir(const std::string& dir);
 
-/// One journal line: the durable record of one finished sweep point (or,
-/// for campaign exchange scopes, one finished exchange row).
+/// One journal line: the durable record of one finished sweep point (an
+/// exchange table's row is its exchange series' one point).
 struct JournalEntry {
   std::string key;    ///< "<scope>#<global point index>"
   std::string label;  ///< series label, validated on resume
-  std::string topo;   ///< topology fingerprint ("r=..,n=..,l=.."), validated
+  std::string topo;   ///< topology_fingerprint, 16 hex digits; validated
   double load = 0.0;
   std::uint64_t seed = 0;  ///< first-attempt derived seed, validated
   std::string status;      ///< "ok" | "timed_out" | "failed"

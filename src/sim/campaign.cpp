@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -94,11 +95,23 @@ struct Parse {
     return *v;
   }
 
-  std::int64_t req_int(const JsonValue& obj, const std::string& path,
-                       const char* key) const {
-    const JsonValue& v = req(obj, path, key, JsonValue::Kind::kNumber);
-    if (!v.number_is_int) fail(path + "." + key, "expected an integer");
-    return v.integer;
+  /// An integer >= min narrowed to int. Values an int cannot hold are
+  /// rejected here, where narrowing would otherwise wrap them into range.
+  int as_int(const JsonValue& v, const std::string& path, int min) const {
+    if (!v.is_number() || !v.number_is_int || v.integer < min) {
+      fail(path, "expected an integer >= " + std::to_string(min));
+    }
+    if (v.integer > std::numeric_limits<int>::max()) {
+      fail(path, "expected an integer <= " +
+                     std::to_string(std::numeric_limits<int>::max()));
+    }
+    return static_cast<int>(v.integer);
+  }
+
+  int opt_int_at_least(const JsonValue& obj, const std::string& path, const char* key,
+                       int min, int dflt) const {
+    const JsonValue* v = opt(obj, path, key, JsonValue::Kind::kNumber);
+    return v == nullptr ? dflt : as_int(*v, path + "." + key, min);
   }
 
   std::int64_t opt_int(const JsonValue& obj, const std::string& path, const char* key,
@@ -207,11 +220,10 @@ CampaignSeries parse_series(const Parse& p, const std::string& path, const JsonV
     out.reroute = p.opt_bool(v, path, "reroute", true);
   }
   if (const JsonValue* ni = p.opt(v, path, "ni", JsonValue::Kind::kNumber)) {
-    if (!ni->number_is_int || ni->integer < 1) p.fail(path + ".ni", "expected an integer >= 1");
+    out.ni = p.as_int(*ni, path + ".ni", 1);
     if (sweep.grid && sweep.grid->is_ni) {
       p.fail(path + ".ni", "the sweep grid already varies 'ni'");
     }
-    out.ni = static_cast<int>(ni->integer);
   }
   if (const JsonValue* c = p.opt(v, path, "c", JsonValue::Kind::kNumber)) {
     if (c->number <= 0.0) p.fail(path + ".c", "expected a number > 0");
@@ -248,12 +260,9 @@ CampaignFault parse_fault(const Parse& p, const std::string& path, const JsonVal
   CampaignFault out;
   out.frac = p.req(v, path, "frac", JsonValue::Kind::kNumber).number;
   if (out.frac <= 0.0 || out.frac > 1.0) p.fail(path + ".frac", "expected a fraction in (0, 1]");
-  out.at_div = static_cast<int>(p.opt_int(v, path, "at_div", 4));
-  if (out.at_div < 1) p.fail(path + ".at_div", "expected an integer >= 1");
-  out.restore_div = static_cast<int>(p.opt_int(v, path, "restore_div", 0));
-  if (out.restore_div < 0) p.fail(path + ".restore_div", "expected an integer >= 0");
-  out.sample_div = static_cast<int>(p.opt_int(v, path, "sample_div", 0));
-  if (out.sample_div < 0) p.fail(path + ".sample_div", "expected an integer >= 0");
+  out.at_div = p.opt_int_at_least(v, path, "at_div", 1, 4);
+  out.restore_div = p.opt_int_at_least(v, path, "restore_div", 0, 0);
+  out.sample_div = p.opt_int_at_least(v, path, "sample_div", 0, 0);
   return out;
 }
 
@@ -270,9 +279,7 @@ CampaignGrid parse_grid(const Parse& p, const std::string& path, const JsonValue
     const std::string ipath = path + ".values[" + std::to_string(i) + "]";
     const JsonValue& e = values.array[i];
     if (out.is_ni) {
-      if (!e.is_number() || !e.number_is_int || e.integer < 1) {
-        p.fail(ipath, "expected an integer >= 1");
-      }
+      p.as_int(e, ipath, 1);
     } else if (!e.is_number() || e.number <= 0.0) {
       p.fail(ipath, "expected a number > 0");
     }
@@ -345,8 +352,8 @@ CampaignSweep parse_sweep(const Parse& p, const std::string& path, const JsonVal
                                                   "traffic");
     }
     if (out.traffic == CampaignTraffic::kShift) {
-      out.shift = static_cast<int>(p.req_int(v, path, "shift"));
-      if (out.shift < 1) p.fail(path + ".shift", "expected an integer >= 1");
+      out.shift = p.as_int(p.req(v, path, "shift", JsonValue::Kind::kNumber),
+                           path + ".shift", 1);
     } else if (v.find("shift") != nullptr) {
       p.fail(path + ".shift", "'shift' requires traffic = shift");
     }
@@ -378,6 +385,8 @@ CampaignSweep parse_sweep(const Parse& p, const std::string& path, const JsonVal
       if (tl->number <= 0.0) p.fail(path + ".time_limit_us", "expected a number > 0");
       out.time_limit_us = tl->number;
     }
+    // Every row runs on the invocation seed, as the fig13 bench did.
+    out.base_seed = true;
   }
 
   const JsonValue& series = p.req(v, path, "series", JsonValue::Kind::kArray);
@@ -475,9 +484,8 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
   ExpandedCampaign out;
 
   // Build every system's topology up front (cheap, and validates all spec
-  // strings before any simulation); minimal tables are built lazily — an
-  // exchange-only campaign leaves SimStack to build its own per run,
-  // exactly as the hand-written fig13 bench does.
+  // strings before any simulation); minimal tables are built lazily, once
+  // per system a sweep selects.
   std::vector<const Topology*> topos;
   out.tables.assign(spec.systems.size(), nullptr);
   for (const CampaignSystem& sys : spec.systems) {
@@ -544,6 +552,11 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
     spec_.topo = topos[i];
     spec_.table = ensure_table(i);
     spec_.strategy = s.strategy;
+    if (sw.kind == CampaignSweepKind::kExchange) {
+      spec_.exchange = SweepExchange{sw.bytes_per_pair, sw.order, us(sw.time_limit_us)};
+    } else {
+      spec_.pattern = ensure_pattern(i, sw.traffic, sw.shift);
+    }
     if (s.ni || s.c) {
       UgalParams up = default_ugal_params(topos[i]->kind(),
                                           s.strategy == RoutingStrategy::kUgalThreshold);
@@ -551,7 +564,6 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
       if (s.c) up.c = *s.c;
       spec_.params = up;
     }
-    spec_.pattern = ensure_pattern(i, sw.traffic, sw.shift);
     spec_.loads = sw.loads;
     if (sw.fault) {
       // The transient-faults bench's arithmetic, verbatim (integer TimePs
@@ -583,11 +595,14 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
   // One system's series block: each spec entry, multiplied by the grid
   // values when the sweep has a grid axis (series-major, grid-minor — the
   // adaptive benches' panel order), with {grid} resolved in the label.
-  auto push_series = [&](const CampaignSweep& sw, std::size_t i,
-                         std::vector<SweepSeriesSpec>& dst) {
+  auto push_series = [&](const CampaignSweep& sw, std::size_t i, CampaignRun& dst) {
+    auto push = [&](const CampaignSeries& s) {
+      dst.series.push_back(make_series(sw, s, i));
+      dst.systems.push_back(spec.systems[i].label);
+    };
     for (const CampaignSeries& s : sw.series) {
       if (!sw.grid) {
-        dst.push_back(make_series(sw, s, i));
+        push(s);
         continue;
       }
       for (const double v : sw.grid->values) {
@@ -598,48 +613,35 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
           g.c = v;
         }
         g.label = replace_all(g.label, "{grid}", grid_value_label(*sw.grid, v));
-        dst.push_back(make_series(sw, g, i));
+        push(g);
       }
     }
   };
 
   for (const CampaignSweep& sw : spec.sweeps) {
     const std::vector<std::size_t> sel = selected(sw);
-    if (sw.kind == CampaignSweepKind::kExchange) {
-      CampaignStep step;
-      CampaignExchangeSweep ex;
-      ex.title = sw.title;
-      ex.bytes_per_pair = sw.bytes_per_pair;
-      ex.order = sw.order;
-      ex.time_limit = us(sw.time_limit_us);
-      for (std::size_t i : sel) {
-        for (const CampaignSeries& s : sw.series) {
-          ex.rows.push_back({spec.systems[i].label, s.strategy, topos[i]});
-        }
-      }
-      step.exchange = std::move(ex);
-      out.steps.push_back(std::move(step));
-      continue;
-    }
     if (sw.per_system) {
       for (std::size_t i : sel) {
         CampaignStep step;
-        CampaignLoadSweep ls;
-        ls.title = substitute(sw.title, spec.systems[i].label, "");
-        push_series(sw, i, ls.series);
-        step.load = std::move(ls);
+        CampaignRun run;
+        run.title = substitute(sw.title, spec.systems[i].label, "");
+        push_series(sw, i, run);
+        step.load = std::move(run);
         out.steps.push_back(std::move(step));
       }
-    } else {
-      CampaignStep step;
-      CampaignLoadSweep ls;
-      ls.title = sw.title;
-      // System-major, series-minor: the benches' loop order, which the
-      // per-point seed stream and journal keys depend on.
-      for (std::size_t i : sel) push_series(sw, i, ls.series);
-      step.load = std::move(ls);
-      out.steps.push_back(std::move(step));
+      continue;
     }
+    CampaignStep step;
+    CampaignRun run;
+    const bool exchange = sw.kind == CampaignSweepKind::kExchange;
+    run.title = exchange ? exchange_table_title(sw.title, sw.bytes_per_pair, sw.order)
+                         : sw.title;
+    // System-major, series-minor: the benches' loop order, which the
+    // per-point seed stream and journal keys depend on (and the fig13
+    // bench's row order).
+    for (std::size_t i : sel) push_series(sw, i, run);
+    (exchange ? step.exchange : step.load) = std::move(run);
+    out.steps.push_back(std::move(step));
   }
   return out;
 }
@@ -653,19 +655,12 @@ std::string exchange_table_title(const std::string& title_base,
 }
 
 std::size_t step_point_count(const CampaignStep& step) {
-  if (step.load) {
-    std::size_t n = 0;
-    for (const SweepSeriesSpec& s : step.load->series) n += s.loads.size();
-    return n;
-  }
-  return step.exchange->rows.size();
+  std::size_t n = 0;
+  for (const SweepSeriesSpec& s : step.run().series) n += sweep_series_points(s);
+  return n;
 }
 
-std::string step_scope(const CampaignStep& step) {
-  if (step.load) return step.load->title;
-  return exchange_table_title(step.exchange->title, step.exchange->bytes_per_pair,
-                              step.exchange->order);
-}
+std::string step_scope(const CampaignStep& step) { return step.run().title; }
 
 std::vector<CampaignScope> campaign_scopes(const ExpandedCampaign& plan) {
   std::vector<CampaignScope> out;

@@ -124,6 +124,7 @@ struct CampaignSweep {
   bool per_system = false;
   /// "derived" (false): per-point SplitMix64 seeds. "base" (true): every
   /// point runs on the invocation seed, as the ported serial benches did.
+  /// Always true for exchange sweeps (the fig13 bench's policy).
   bool base_seed = false;
   std::vector<CampaignSeries> series;
 
@@ -167,33 +168,27 @@ struct CampaignParams {
   TimePs warmup = 0;
 };
 
-/// One expanded load sweep: run through run_and_print_sweep under `title`
-/// as the journal scope.
-struct CampaignLoadSweep {
+/// One expanded step's work: the series a single SweepRunner call executes
+/// under `title`, its journal scope. Load sweeps hold one series per
+/// (system, series entry[, grid value]); exchange tables one exchange
+/// series per row (system-major x series-minor), each on the invocation
+/// seed, under the composed exchange_table_title.
+struct CampaignRun {
   std::string title;
   std::vector<SweepSeriesSpec> series;
+  /// System label of each series (an exchange table prints and reports it
+  /// next to the row's routing).
+  std::vector<std::string> systems;
 };
 
-/// One row of an expanded exchange table.
-struct CampaignExchangeRow {
-  std::string system;
-  RoutingStrategy strategy = RoutingStrategy::kMinimal;
-  const Topology* topo = nullptr;
-};
-
-/// One expanded exchange sweep: run through bench::run_exchange_table.
-struct CampaignExchangeSweep {
-  std::string title;  ///< base title (the runner appends bytes/order)
-  std::int64_t bytes_per_pair = 0;
-  A2aOrder order = A2aOrder::kShuffled;
-  TimePs time_limit = 0;
-  std::vector<CampaignExchangeRow> rows;
-};
-
-/// One executable step, in spec order. Exactly one member is engaged.
+/// One executable step, in spec order. Exactly one member is engaged; both
+/// kinds run the same way and differ only in how they are presented (a
+/// load table via run_and_print_sweep, an exchange table via
+/// bench::run_exchange_table).
 struct CampaignStep {
-  std::optional<CampaignLoadSweep> load;
-  std::optional<CampaignExchangeSweep> exchange;
+  std::optional<CampaignRun> load;
+  std::optional<CampaignRun> exchange;
+  const CampaignRun& run() const { return load ? *load : *exchange; }
 };
 
 /// The expanded campaign. Owns every object the steps reference
@@ -210,8 +205,7 @@ struct ExpandedCampaign {
   std::vector<CampaignStep> steps;
 
   /// Owned backing storage (deque: element addresses are stable across
-  /// push_back, and SweepSeriesSpec/CampaignExchangeRow keep raw pointers
-  /// into it).
+  /// push_back, and SweepSeriesSpec keeps raw pointers into it).
   std::deque<Topology> topologies;
   std::vector<std::shared_ptr<const MinimalTable>> tables;
   std::deque<std::unique_ptr<TrafficPattern>> patterns;
@@ -227,18 +221,17 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
 // (see docs/campaigns.md, "Distributed campaigns")
 
 /// The composed title an exchange table is printed and journaled under —
-/// "<base> (<bytes> B/pair, <order>)". One function shared by the exchange
-/// runner (scope registration, row keys) and the merge step (expected-key
-/// enumeration): the two must never drift apart.
+/// "<base> (<bytes> B/pair, <order>)"; expansion stores it as the exchange
+/// step's title, so the runner's scope and the merge step's expected keys
+/// come from one place.
 std::string exchange_table_title(const std::string& title_base,
                                  std::int64_t bytes_per_pair, A2aOrder order);
 
-/// Number of flattened points of one step: series x loads for a load
-/// sweep (the SweepRunner flattening order), rows for an exchange table.
+/// Number of flattened points of one step (the SweepRunner flattening
+/// order): series x loads for a load sweep, rows for an exchange table.
 std::size_t step_point_count(const CampaignStep& step);
 
-/// The journal scope (key prefix) of one step: the sweep title, or the
-/// composed exchange table title.
+/// The journal scope (key prefix) of one step: its run's title.
 std::string step_scope(const CampaignStep& step);
 
 /// One journal scope with its point count, in campaign execution order.

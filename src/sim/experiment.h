@@ -81,10 +81,13 @@ class SimStack {
   std::unique_ptr<MinimalTable> fault_table_;
 };
 
-/// One row of a Fig. 6-12 style sweep.
+/// One row of a Fig. 6-12 style sweep, or one row of a Fig. 13 style
+/// exchange table (an exchange series' point: `exchange` is filled and
+/// `result` stays default-constructed).
 struct SweepPoint {
   double offered = 0.0;
   OpenLoopResult result;
+  ExchangeResult exchange;
   /// Simulation attempts consumed (> 1 after deadline/exception retries;
   /// see docs/durable_sweeps.md).
   int attempts = 1;
@@ -98,6 +101,9 @@ struct SweepPoint {
   /// run, spliced verbatim into reports for byte-identical output.
   bool restored = false;
   std::string restored_json;
+
+  /// The wall-clock budget cut this point short (either kind).
+  bool timed_out() const { return result.timed_out || exchange.timed_out; }
 };
 
 /// Runs the open-loop simulation at each offered load.

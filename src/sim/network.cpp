@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "partition/partitioner.h"
 #include "routing/minimal_table.h"
@@ -48,14 +49,6 @@ bool paranoid_env() {
 // FNV-1a over the dispatched-event stream; the offset doubles as the
 // empty-stream digest so "no events" still hashes to a fixed value.
 constexpr std::uint64_t kDigestOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kDigestPrime = 1099511628211ULL;
-
-inline std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFFu)) * kDigestPrime;
-  }
-  return h;
-}
 
 // The digest words fold an event's full identity without its pool slot:
 // `a` is a per-lane pool index for the packet-carrying kinds (and is
@@ -73,10 +66,10 @@ inline std::uint64_t digest_w2(const Event& e) {
 
 inline std::uint64_t fold_digest(std::uint64_t h, TimePs time, std::uint64_t okey,
                                  std::uint64_t w1, std::uint64_t w2) {
-  h = fnv1a_step(h, static_cast<std::uint64_t>(time));
-  h = fnv1a_step(h, okey);
-  h = fnv1a_step(h, w1);
-  h = fnv1a_step(h, w2);
+  h = fnv1a64_word(h, static_cast<std::uint64_t>(time));
+  h = fnv1a64_word(h, okey);
+  h = fnv1a64_word(h, w1);
+  h = fnv1a64_word(h, w2);
   return h;
 }
 

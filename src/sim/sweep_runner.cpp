@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -34,6 +37,10 @@ SweepRunner::SweepRunner(SweepRunOptions opts) : opts_(std::move(opts)) {
   }
 }
 
+std::size_t sweep_series_points(const SweepSeriesSpec& spec) {
+  return spec.exchange ? 1 : spec.loads.size();
+}
+
 std::vector<std::vector<SweepPoint>> SweepRunner::run(
     const std::vector<SweepSeriesSpec>& specs) {
   struct PointRef {
@@ -52,7 +59,8 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const SweepSeriesSpec& spec = specs[s];
     D2NET_REQUIRE(spec.topo != nullptr, "series needs a topology");
-    D2NET_REQUIRE(spec.pattern != nullptr, "series needs a traffic pattern");
+    D2NET_REQUIRE(spec.exchange || spec.pattern != nullptr,
+                  "series needs a traffic pattern");
     if (spec.strategy != RoutingStrategy::kMinimal) {
       auto vit = vias_by_topo.find(spec.topo);
       if (vit == vias_by_topo.end()) {
@@ -81,8 +89,8 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
   std::vector<PointRef> points;
   std::vector<std::vector<SweepPoint>> out(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    out[s].resize(specs[s].loads.size());
-    for (std::size_t l = 0; l < specs[s].loads.size(); ++l) points.push_back({s, l});
+    out[s].resize(sweep_series_points(specs[s]));
+    for (std::size_t l = 0; l < out[s].size(); ++l) points.push_back({s, l});
   }
 
   if (opts_.selected != nullptr) {
@@ -92,38 +100,51 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
   auto is_selected = [&](std::size_t i) {
     return opts_.selected == nullptr || (*opts_.selected)[i] != 0;
   };
+  auto load_of = [&](std::size_t i) {
+    const SweepSeriesSpec& spec = specs[points[i].series];
+    return spec.exchange ? 0.0 : spec.loads[points[i].load_index];
+  };
+  auto seed_of = [&](std::size_t i) {
+    const SweepSeriesSpec& spec = specs[points[i].series];
+    return spec.seed_override ? *spec.seed_override : derive_point_seed(opts_.config.seed, i);
+  };
 
   std::vector<std::int64_t> events(points.size(), 0);
   const auto t0 = std::chrono::steady_clock::now();
 
   auto key_for = [&](std::size_t i) { return opts_.scope + "#" + std::to_string(i); };
-  auto topo_fingerprint = [](const Topology& t) {
-    std::ostringstream os;
-    os << "r=" << t.num_routers() << ",n=" << t.num_nodes() << ",l=" << t.num_links();
-    return os.str();
-  };
 
   // Resolve journal state up front, on the calling thread: configuration
   // mismatches must abort the run before any simulation starts, and doing
-  // it here keeps the worker path free of validation branches.
+  // it here keeps the worker path free of validation branches. Each
+  // distinct topology is fingerprinted once.
   std::vector<const JournalEntry*> restored(points.size(), nullptr);
+  std::vector<std::string> fingerprints(specs.size());
   if (opts_.journal != nullptr) {
+    std::unordered_map<const Topology*, std::string> fp_by_topo;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      std::string& fp = fp_by_topo[specs[s].topo];
+      if (fp.empty()) {
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(topology_fingerprint(*specs[s].topo)));
+        fp = hex;
+      }
+      fingerprints[s] = fp;
+    }
     if (opts_.register_scope) opts_.journal->register_scope(opts_.scope);
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (!is_selected(i)) continue;
       const JournalEntry* e = opts_.journal->find(key_for(i));
       if (e == nullptr || !e->completed()) continue;  // failed/missing: re-run
-      const SweepSeriesSpec& spec = specs[points[i].series];
-      const double load = spec.loads[points[i].load_index];
-      const std::uint64_t seed =
-          spec.seed_override ? *spec.seed_override : derive_point_seed(opts_.config.seed, i);
+      const std::size_t s = points[i].series;
       // The manifest hash should have caught any config drift already;
       // these per-entry checks are the second lock on the same door (a
       // journal edited by hand, or a manifest that failed to capture some
       // input) — restoring a point from a different sweep is silent data
       // corruption, so they are hard errors, not warnings.
-      D2NET_REQUIRE(e->label == spec.label && e->load == load && e->seed == seed &&
-                        e->topo == topo_fingerprint(*spec.topo),
+      D2NET_REQUIRE(e->label == specs[s].label && e->load == load_of(i) &&
+                        e->seed == seed_of(i) && e->topo == fingerprints[s],
                     "journal entry '" + e->key +
                         "' does not match the current sweep (label/load/seed/topology "
                         "drift); refusing to mix results — use a fresh --journal dir");
@@ -131,13 +152,31 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
     }
   }
 
+  // Exchange plans, one per distinct (topology, bytes, order, seed) among
+  // the points this run executes, built here so in-flight points share one
+  // read-only copy.
+  std::vector<std::shared_ptr<const ExchangePlan>> plans(points.size());
+  std::map<std::tuple<const Topology*, std::int64_t, A2aOrder, std::uint64_t>,
+           std::shared_ptr<const ExchangePlan>>
+      plan_by_key;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepSeriesSpec& spec = specs[points[i].series];
+    if (!spec.exchange || !is_selected(i) || restored[i] != nullptr) continue;
+    const SweepExchange& x = *spec.exchange;
+    auto& plan = plan_by_key[{spec.topo, x.bytes_per_pair, x.order, seed_of(i)}];
+    if (plan == nullptr) {
+      plan = std::make_shared<const ExchangePlan>(make_all_to_all_plan(
+          spec.topo->num_nodes(), x.bytes_per_pair, x.order, seed_of(i)));
+    }
+    plans[i] = plan;
+  }
+
   auto run_point = [&](std::size_t i) {
     if (!is_selected(i)) return;  // another worker's point; leave untouched
     const SweepSeriesSpec& spec = specs[points[i].series];
-    const double load = spec.loads[points[i].load_index];
+    const double load = load_of(i);
     const TimePs duration = spec.duration > 0 ? spec.duration : opts_.duration;
-    const std::uint64_t seed0 =
-        spec.seed_override ? *spec.seed_override : derive_point_seed(opts_.config.seed, i);
+    const std::uint64_t seed0 = seed_of(i);
 
     if (const JournalEntry* e = restored[i]) {
       SweepPoint pt;
@@ -145,13 +184,23 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
       pt.restored = true;
       pt.restored_json = e->payload;
       pt.attempts = e->attempts;
-      pt.result.offered_load = load;
-      pt.result.accepted_throughput = e->throughput;
-      pt.result.avg_latency_ns = e->avg_latency_ns;
-      pt.result.p99_latency_ns = e->p99_latency_ns;
-      pt.result.packets_measured = e->packets_measured;
-      pt.result.events_processed = e->events;
-      pt.result.timed_out = e->status == "timed_out";
+      const bool timed_out = e->status == "timed_out";
+      if (spec.exchange) {
+        pt.exchange.completed = e->exchange_completed == 1;
+        pt.exchange.effective_throughput = e->throughput;
+        pt.exchange.completion_us = e->completion_us;
+        pt.exchange.avg_latency_ns = e->avg_latency_ns;
+        pt.exchange.timed_out = timed_out;
+        pt.exchange.faults.wedged = e->wedged;
+      } else {
+        pt.result.offered_load = load;
+        pt.result.accepted_throughput = e->throughput;
+        pt.result.avg_latency_ns = e->avg_latency_ns;
+        pt.result.p99_latency_ns = e->p99_latency_ns;
+        pt.result.packets_measured = e->packets_measured;
+        pt.result.events_processed = e->events;
+        pt.result.timed_out = timed_out;
+      }
       events[i] = e->events;
       out[points[i].series][points[i].load_index] = std::move(pt);
       return;
@@ -164,6 +213,7 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
     // Bounded retry: a fresh attempt re-derives its seed from the point's
     // first-attempt seed, so retries explore genuinely different event
     // streams while staying a pure function of (base seed, index, attempt).
+    // An exchange keeps its plan (built on the first-attempt seed).
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       SimConfig cfg = opts_.config;
       cfg.seed = attempt == 0 ? seed0 : derive_point_seed(seed0, attempt);
@@ -174,11 +224,15 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
       try {
         SimStack stack(*spec.topo, tables[points[i].series], spec.strategy, cfg,
                        spec.params, intermediates[points[i].series]);
-        pt.result = stack.run_open_loop(*spec.pattern, load, duration, opts_.warmup);
+        if (spec.exchange) {
+          pt.exchange = stack.run_exchange(*plans[i], spec.exchange->time_limit);
+        } else {
+          pt.result = stack.run_open_loop(*spec.pattern, load, duration, opts_.warmup);
+        }
         pt.attempts = attempt + 1;
         pt.failed = false;
         pt.error.clear();
-        if (!pt.result.timed_out) break;  // done; timed out => retry
+        if (!pt.timed_out()) break;  // done; timed out => retry
       } catch (const std::exception& e) {
         // Annotate with the failing point's identity: with many points in
         // flight a bare what() cannot be traced back to a simulation.
@@ -189,6 +243,7 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
         pt.failed = true;
         pt.error = msg.str();
         pt.result = OpenLoopResult{};
+        pt.exchange = ExchangeResult{};
         if (attempt + 1 >= max_attempts && !(opts_.tolerate_failures && opts_.journal)) {
           throw std::runtime_error(pt.error);
         }
@@ -200,10 +255,10 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
       JournalEntry e;
       e.key = key_for(i);
       e.label = spec.label;
-      e.topo = topo_fingerprint(*spec.topo);
+      e.topo = fingerprints[points[i].series];
       e.load = load;
       e.seed = seed0;
-      e.status = pt.failed ? "failed" : pt.result.timed_out ? "timed_out" : "ok";
+      e.status = pt.failed ? "failed" : pt.timed_out() ? "timed_out" : "ok";
       e.attempts = pt.attempts;
       e.events = pt.result.events_processed;
       e.wall_seconds =
@@ -212,8 +267,15 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
       e.avg_latency_ns = pt.result.avg_latency_ns;
       e.p99_latency_ns = pt.result.p99_latency_ns;
       e.packets_measured = pt.result.packets_measured;
+      if (spec.exchange) {
+        e.throughput = pt.exchange.effective_throughput;
+        e.avg_latency_ns = pt.exchange.avg_latency_ns;
+        e.exchange_completed = pt.exchange.completed ? 1 : 0;
+        e.completion_us = pt.exchange.completion_us;
+        e.wedged = pt.exchange.faults.wedged;
+      }
       e.error = pt.error;
-      if (!pt.failed && opts_.serialize) e.payload = opts_.serialize(pt);
+      if (!pt.failed && opts_.serialize) e.payload = opts_.serialize(points[i].series, pt);
       opts_.journal->append(e);
     }
     out[points[i].series][points[i].load_index] = std::move(pt);
@@ -244,7 +306,7 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
     for (const SweepPoint& pt : series) {
       stats_.restored_points += pt.restored ? 1 : 0;
       stats_.failed_points += pt.failed ? 1 : 0;
-      stats_.timed_out_points += pt.result.timed_out ? 1 : 0;
+      stats_.timed_out_points += pt.timed_out() ? 1 : 0;
     }
   }
   return out;

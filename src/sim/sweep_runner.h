@@ -1,11 +1,14 @@
-// Parallel load-sweep execution.
+// Parallel load-sweep and exchange-table execution.
 //
 // A sweep is a set of series — one (topology, routing, traffic) combination
-// each — evaluated over a grid of offered loads. Every (series, load) point
-// is a fully independent simulation, so the runner fans the points out over
-// a thread pool: one freshly constructed SimStack per in-flight point,
-// sharing only the immutable Topology and (precomputed, per-system)
-// MinimalTable.
+// each — evaluated over a grid of offered loads, or, for an exchange
+// series, one all-to-all exchange (a row of a Fig. 13 style table). Every
+// point is a fully independent simulation, so the runner fans the points
+// out over a thread pool: one freshly constructed SimStack per in-flight
+// point, sharing only the immutable Topology, (precomputed, per-system)
+// MinimalTable, intermediate sets and exchange plans. Both kinds share one
+// journal restore/validate/append path, one seed policy, and the same
+// deadline, retry and selection-mask handling.
 //
 // Determinism: each point derives its own seed from the base seed and its
 // global point index via SplitMix64, and results land in a pre-sized table
@@ -22,6 +25,7 @@
 
 #include "common/journal.h"
 #include "routing/factory.h"
+#include "sim/exchange.h"
 #include "sim/experiment.h"
 
 namespace d2net {
@@ -30,6 +34,13 @@ namespace d2net {
 /// Distinct indices give decorrelated streams even for adjacent base seeds,
 /// and a point's seed never depends on how many points ran before it.
 std::uint64_t derive_point_seed(std::uint64_t base_seed, std::uint64_t point_index);
+
+/// The all-to-all exchange an exchange series runs (Fig. 13 shape).
+struct SweepExchange {
+  std::int64_t bytes_per_pair = 0;
+  A2aOrder order = A2aOrder::kShuffled;
+  TimePs time_limit = 0;  ///< simulated cutoff of the exchange
+};
 
 /// One series of a sweep. Pointers/references must outlive the run; all
 /// referenced objects must be immutable during it (Topology, MinimalTable,
@@ -59,7 +70,17 @@ struct SweepSeriesSpec {
   /// from serial benches that ran all points on the invocation seed —
   /// reproduction must be bit-identical, so the seed policy is data.
   std::optional<std::uint64_t> seed_override;
+  /// Exchange series: one row of an exchange table. Set, the series has
+  /// exactly one point (load 0; `pattern` and `loads` unused), which runs
+  /// SimStack::run_exchange on make_all_to_all_plan(num_nodes,
+  /// bytes_per_pair, order, seed) with the point's first-attempt seed. The
+  /// runner builds each distinct plan once, on the calling thread, and
+  /// shares it read-only between in-flight points.
+  std::optional<SweepExchange> exchange;
 };
+
+/// Points of one series: 1 for an exchange series, one per load otherwise.
+std::size_t sweep_series_points(const SweepSeriesSpec& spec);
 
 struct SweepRunOptions {
   /// Worker threads; 1 runs inline on the caller (no pool). 0 auto-sizes
@@ -93,8 +114,9 @@ struct SweepRunOptions {
   /// propagating the exception and abandoning the remaining points.
   bool tolerate_failures = false;
   /// Renders a finished point's result JSON for the journal (the fragment
-  /// restored points splice back verbatim). Null journals summaries only.
-  std::function<std::string(const SweepPoint&)> serialize;
+  /// restored points splice back verbatim), given its series index and
+  /// the point. Null journals summaries only.
+  std::function<std::string(std::size_t series, const SweepPoint&)> serialize;
 
   // --- multi-worker campaigns (see docs/campaigns.md) ---
   /// Optional selection mask over the flattened point list (series-major,
@@ -135,7 +157,8 @@ class SweepRunner {
   explicit SweepRunner(SweepRunOptions opts);
 
   /// Runs all points of all series; out[s][l] corresponds to
-  /// specs[s].loads[l] regardless of execution interleaving.
+  /// specs[s].loads[l] (out[s][0] to an exchange series' one row)
+  /// regardless of execution interleaving.
   std::vector<std::vector<SweepPoint>> run(const std::vector<SweepSeriesSpec>& specs);
 
   /// Metrics of the most recent run().

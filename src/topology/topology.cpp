@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/hash.h"
 
 namespace d2net {
 
@@ -91,6 +92,17 @@ double Topology::links_per_node() const {
 
 double Topology::ports_per_node() const {
   return static_cast<double>(num_ports()) / num_nodes();
+}
+
+std::uint64_t topology_fingerprint(const Topology& topo) {
+  D2NET_REQUIRE(topo.finalized(), "topology_fingerprint needs a finalized topology");
+  std::uint64_t h = fnv1a64_word(0xcbf29ce484222325ULL, topo.num_routers());
+  for (int r = 0; r < topo.num_routers(); ++r) {
+    h = fnv1a64_word(h, topo.endpoints_of(r));
+    h = fnv1a64_word(h, topo.neighbors(r).size());
+    for (int v : topo.neighbors(r)) h = fnv1a64_word(h, v);
+  }
+  return h;
 }
 
 }  // namespace d2net

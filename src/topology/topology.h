@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -125,5 +126,12 @@ class Topology {
   std::vector<int> edge_routers_;
   std::vector<std::vector<int>> sorted_adj_;  ///< For connected() lookups.
 };
+
+/// Wiring identity of a finalized topology: FNV-1a (common/hash.h) over
+/// num_routers() and, per router, endpoints_of(r) and its neighbors(r) list
+/// in port order (length first). Two wirings with the same router, node
+/// and link counts hash apart; sweep journals validate restored points
+/// against it.
+std::uint64_t topology_fingerprint(const Topology& topo);
 
 }  // namespace d2net

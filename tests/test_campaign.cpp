@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "campaign_worker.h"
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/json.h"
@@ -27,6 +29,8 @@
 #include "sim/sweep_runner.h"
 #include "sim/traffic.h"
 #include "topology/slim_fly.h"
+#include "topology/spec.h"
+#include "topology/topology.h"
 
 namespace d2net {
 namespace {
@@ -317,6 +321,67 @@ TEST(CampaignSpec, ValidatesGridAxis) {
   EXPECT_EQ(ok.sweeps[0].series[0].label, "{grid}");
 }
 
+TEST(CampaignSpec, RejectsIntegersBeyondIntWithTheirPath) {
+  // Narrowing used to wrap these: 4294967297 ran as nI=1, 3000000000 went
+  // negative and aborted mid-run.
+  for (const char* ni : {"4294967297", "3000000000"}) {
+    EXPECT_NE(parse_error(std::string(R"({"name": "t", "systems": [{"label": "S",
+        "topology": "sf:q=5"}], "sweeps": [{"title": "u", "loads": [0.5],
+        "series": [{"routing": "ugal", "ni": )") + ni + "}]}]}")
+                  .find("sweeps[0].series[0].ni: expected an integer <= 2147483647"),
+              std::string::npos)
+        << ni;
+    EXPECT_NE(parse_error(std::string(R"({"name": "t", "systems": [{"label": "S",
+        "topology": "sf:q=5"}], "sweeps": [{"title": "u", "loads": [0.5],
+        "grid": {"param": "ni", "values": [1, )") + ni +
+                          R"(]}, "series": [{"routing": "ugal"}]}]})")
+                  .find("sweeps[0].grid.values[1]: expected an integer <= 2147483647"),
+              std::string::npos)
+        << ni;
+  }
+  EXPECT_NE(parse_error(R"({"name": "t", "systems": [{"label": "S",
+      "topology": "sf:q=5"}], "sweeps": [{"title": "u", "loads": [0.5],
+      "fault": {"frac": 0.1, "at_div": 4294967297}, "series": [{"routing": "min"}]}]})")
+                .find("sweeps[0].fault.at_div: expected an integer <= 2147483647"),
+            std::string::npos);
+  EXPECT_NE(parse_error(R"({"name": "t", "systems": [{"label": "S",
+      "topology": "sf:q=5"}], "sweeps": [{"title": "u", "traffic": "shift",
+      "shift": 4294967297, "loads": [0.5], "series": [{"routing": "min"}]}]})")
+                .find("sweeps[0].shift: expected an integer <= 2147483647"),
+            std::string::npos);
+  // INT_MAX itself still parses.
+  EXPECT_EQ(parse_error(R"({"name": "t", "systems": [{"label": "S",
+      "topology": "sf:q=5"}], "sweeps": [{"title": "u", "loads": [0.5],
+      "series": [{"routing": "ugal", "ni": 2147483647}]}]})"),
+            "");
+}
+
+TEST(CampaignStatus, RejectsShardCountsBeyondIntWithThePlanPath) {
+  const CampaignSpec spec = parse_campaign_spec(kTinySpec);
+  CampaignParams params;
+  params.duration = us(2);
+  params.warmup = us(1);
+  const ExpandedCampaign plan = expand_campaign(spec, params);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "d2net_status_range";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "leases");
+  bench::BenchOptions opts;
+  opts.journal_dir = dir.string();
+  for (const char* plan_json : {R"({"shards": 4294967297, "shard_points": 1})",
+                                R"({"shards": 1, "shard_points": 3000000000})"}) {
+    std::ofstream(dir / "leases" / "plan.json", std::ios::trunc) << plan_json;
+    try {
+      bench::print_campaign_status(plan, opts, 30.0);
+      ADD_FAILURE() << "accepted " << plan_json;
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find((dir / "leases" / "plan.json").string()),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CampaignSpec, ValidatesPropagationKnobs) {
   EXPECT_NE(parse_error(R"({"name": "t", "systems": [{"label": "S",
       "topology": "sf:q=5"}], "sweeps": [{"title": "u", "loads": [0.5],
@@ -369,7 +434,7 @@ TEST(CampaignExpansion, ExpandsTheMatrixInBenchOrder) {
   ASSERT_EQ(plan.steps.size(), 3u);
 
   // Sweep 1: system-major, series-minor; default labels resolve.
-  const CampaignLoadSweep& uni = *plan.steps[0].load;
+  const CampaignRun& uni = *plan.steps[0].load;
   EXPECT_EQ(uni.title, "uni");
   ASSERT_EQ(uni.series.size(), 4u);
   EXPECT_EQ(uni.series[0].label, "A MIN");
@@ -385,7 +450,7 @@ TEST(CampaignExpansion, ExpandsTheMatrixInBenchOrder) {
   EXPECT_EQ(uni.series[0].loads, (std::vector<double>{0.2, 0.4}));
 
   // Sweep 2: per-system fault sweep, filtered to A, pinned to the base seed.
-  const CampaignLoadSweep& faults = *plan.steps[1].load;
+  const CampaignRun& faults = *plan.steps[1].load;
   EXPECT_EQ(faults.title, "faults — A");
   ASSERT_EQ(faults.series.size(), 2u);
   EXPECT_EQ(faults.series[0].label, "MIN static");
@@ -414,16 +479,28 @@ TEST(CampaignExpansion, ExpandsTheMatrixInBenchOrder) {
   ASSERT_EQ(faults.series[1].fault.schedule.size(), expected.size());
   EXPECT_EQ(faults.series[1].fault.schedule[0].time, expected[0].time);
 
-  // Sweep 3: exchange rows, system-major x series-minor.
-  const CampaignExchangeSweep& ex = *plan.steps[2].exchange;
-  EXPECT_EQ(ex.bytes_per_pair, 64);
-  ASSERT_EQ(ex.rows.size(), 4u);
-  EXPECT_EQ(ex.rows[0].system, "A");
-  EXPECT_EQ(ex.rows[1].system, "A");
-  EXPECT_EQ(ex.rows[1].strategy, RoutingStrategy::kUgalThreshold);
-  EXPECT_EQ(ex.rows[2].system, "B");
-  EXPECT_EQ(ex.rows[0].topo, &plan.topologies[0]);
-  EXPECT_EQ(ex.rows[2].topo, &plan.topologies[1]);
+  // Sweep 3: exchange rows, system-major x series-minor, one exchange
+  // series per row on the invocation seed, under the composed title.
+  ASSERT_FALSE(plan.steps[2].load.has_value());
+  const CampaignRun& ex = *plan.steps[2].exchange;
+  EXPECT_EQ(ex.title, exchange_table_title("a2a", 64, A2aOrder::kShuffled));
+  ASSERT_EQ(ex.series.size(), 4u);
+  EXPECT_EQ(ex.systems, (std::vector<std::string>{"A", "A", "B", "B"}));
+  EXPECT_EQ(ex.series[0].label, "A MIN");
+  EXPECT_EQ(ex.series[1].label, "A UGAL-Th");
+  EXPECT_EQ(ex.series[1].strategy, RoutingStrategy::kUgalThreshold);
+  EXPECT_EQ(ex.series[0].topo, &plan.topologies[0]);
+  EXPECT_EQ(ex.series[2].topo, &plan.topologies[1]);
+  for (const SweepSeriesSpec& row : ex.series) {
+    ASSERT_TRUE(row.exchange.has_value());
+    EXPECT_EQ(row.exchange->bytes_per_pair, 64);
+    EXPECT_EQ(row.exchange->order, A2aOrder::kShuffled);
+    EXPECT_EQ(row.exchange->time_limit, us(5'000'000.0));
+    ASSERT_TRUE(row.seed_override.has_value());
+    EXPECT_EQ(*row.seed_override, 3u);
+    EXPECT_EQ(sweep_series_points(row), 1u);
+  }
+  EXPECT_EQ(step_point_count(plan.steps[2]), 4u);
 }
 
 TEST(CampaignExpansion, GridExpandsSeriesMajorGridMinor) {
@@ -444,7 +521,7 @@ TEST(CampaignExpansion, GridExpandsSeriesMajorGridMinor) {
   const ExpandedCampaign plan = expand_campaign(spec, CampaignParams{});
   ASSERT_EQ(plan.steps.size(), 2u);
 
-  const CampaignLoadSweep& ni = *plan.steps[0].load;
+  const CampaignRun& ni = *plan.steps[0].load;
   ASSERT_EQ(ni.series.size(), 3u);
   EXPECT_EQ(ni.series[0].label, "nI=1");
   EXPECT_EQ(ni.series[1].label, "nI=4");
@@ -456,7 +533,7 @@ TEST(CampaignExpansion, GridExpandsSeriesMajorGridMinor) {
   EXPECT_EQ(ni.series[0].params->num_indirect, 1);
   EXPECT_EQ(ni.series[2].params->num_indirect, 8);
 
-  const CampaignLoadSweep& c = *plan.steps[1].load;
+  const CampaignRun& c = *plan.steps[1].load;
   ASSERT_EQ(c.series.size(), 3u);
   EXPECT_EQ(c.series[0].label, "c=0.25");
   EXPECT_EQ(c.series[1].label, "c=1.00");
@@ -482,7 +559,7 @@ TEST(CampaignExpansion, PropagationKnobsReachTheFaultConfig) {
   params.duration = us(8);
   params.warmup = us(2);
   const ExpandedCampaign plan = expand_campaign(spec, params);
-  const CampaignLoadSweep& ls = *plan.steps[0].load;
+  const CampaignRun& ls = *plan.steps[0].load;
   ASSERT_EQ(ls.series.size(), 2u);
   EXPECT_FALSE(ls.series[0].fault.propagation);
   EXPECT_TRUE(ls.series[1].fault.propagation);
@@ -741,6 +818,42 @@ TEST(CommittedSpecs, EveryCampaignParsesAndExpandsAtDefaultScale) {
   }
   EXPECT_EQ(figures_seen, figure_names.size());
   EXPECT_GE(specs_seen, figure_names.size());
+}
+
+TEST(CommittedCampaigns, TopologyFingerprintsArePinned) {
+  // Every system of every committed spec, at default and --full scale: a
+  // generator change that rewires a committed system (while keeping its
+  // router/node/link counts) moves its hash here, and with it the journal
+  // identity that refuses stale results.
+  const std::map<std::string, std::string> pinned = {
+      {"sf:q=5", "ac4a1af67a8cf096"},         {"oft:k=4", "55a6f4d25c19bb4a"},
+      {"sf:q=7", "d144bdd95e5f4826"},         {"sf:q=13", "d83cf7c72dcecd2d"},
+      {"sf:q=7,p=ceil", "33f7be9abc5efcc6"},  {"sf:q=13,p=ceil", "01a1bedc1a19b1b5"},
+      {"mlfm:h=7", "fe444d0b9778c3d1"},       {"mlfm:h=15", "5ccf21ccf6008026"},
+      {"oft:k=6", "5e1cf0dbeca173b4"},        {"oft:k=12", "cc2180d19eeff049"},
+  };
+  std::set<std::string> seen;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(D2NET_SOURCE_DIR) + "/campaigns")) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const CampaignSpec spec = parse_campaign_spec(text.str(), entry.path().string());
+    for (const CampaignSystem& sys : spec.systems) {
+      for (const std::string& ts : {sys.topology, sys.topology_full}) {
+        if (ts.empty() || !seen.insert(ts).second) continue;
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(
+                          topology_fingerprint(build_topology_from_spec(ts))));
+        const auto it = pinned.find(ts);
+        EXPECT_TRUE(it != pinned.end() && it->second == hex)
+            << entry.path().filename().string() << ": {\"" << ts << "\", \"" << hex << "\"},";
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), pinned.size());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/units.h"
 #include "sim/campaign.h"
 #include "sim/claim.h"
+#include "sim/sweep_runner.h"
 
 namespace d2net {
 namespace {
@@ -548,6 +550,215 @@ TEST(DistributedCampaign, TwoWorkersMergeByteIdenticalToSolo) {
   merged.json_path = merged_json;
   ASSERT_EQ(bench::execute_campaign(spec, plan, merged, extra), 0);
   EXPECT_EQ(normalize_json(solo_json), normalize_json(merged_json));
+}
+
+// -------------------------------------- exchange tables through the runner
+//
+// Exchange rows are one-point exchange series of SweepRunner, so they share
+// the sweeps' --jobs fan-out, journal restore/append, selection masks and
+// failure tolerance. SF q=5 with 64 B/pair keeps each row a few ms.
+
+ExpandedCampaign exchange_plan() {
+  const CampaignSpec spec = parse_campaign_spec(R"({
+    "name": "exchange_mini",
+    "systems": [{"label": "SF q=5", "topology": "sf:q=5"}],
+    "sweeps": [{"title": "a2a", "kind": "exchange", "bytes_per_pair": 64,
+                "series": [{"routing": "min"}, {"routing": "valiant"},
+                           {"routing": "ugal"}, {"routing": "ugal_th"}]}]
+  })",
+                                                "<test>");
+  return expand_campaign(spec, CampaignParams{false, 5, us(4.0), us(1.0)});
+}
+
+bench::BenchOptions exchange_opts() {
+  bench::BenchOptions opts;
+  opts.duration = us(4.0);
+  opts.warmup = us(1.0);
+  opts.seed = 5;
+  opts.jobs = 1;
+  return opts;
+}
+
+std::vector<std::string> journal_lines(const std::string& dir) {
+  std::ifstream in(fs::path(dir) / "journal.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ExchangeTable, RowsAreIdenticalAtJobs1AndJobs4) {
+  const ExpandedCampaign plan = exchange_plan();
+  const CampaignRun& run = *plan.steps[0].exchange;
+  const auto serialize = bench::exchange_row_serializer(run);
+  auto render = [&](int jobs) {
+    bench::BenchOptions opts = exchange_opts();
+    opts.jobs = jobs;
+    SweepRunner runner(opts.sweep_options());
+    const auto points = runner.run(run.series);
+    EXPECT_EQ(runner.stats().jobs, jobs);
+    std::vector<std::string> rows;
+    for (std::size_t s = 0; s < points.size(); ++s) {
+      EXPECT_TRUE(points[s].front().exchange.completed) << run.series[s].label;
+      rows.push_back(serialize(s, points[s].front()));
+    }
+    return rows;
+  };
+  const auto serial = render(1);
+  ASSERT_EQ(serial.size(), 4u);
+  EXPECT_EQ(serial, render(4));
+}
+
+TEST(ExchangeTable, TruncatedJournalResumesByteIdentically) {
+  const ExpandedCampaign plan = exchange_plan();
+  const CampaignRun& run = *plan.steps[0].exchange;
+
+  // Reference: one uninterrupted, unjournaled table.
+  const std::string ref_json = temp_dir("x_trunc_ref") + ".json";
+  bench::BenchOptions ref = exchange_opts();
+  ref.json_path = ref_json;
+  {
+    bench::BenchReport report("x", ref);
+    bench::run_exchange_table(run, ref, &report);
+    report.write();
+  }
+
+  // A journaled run, then its journal cut to its first k rows plus a torn
+  // fragment — what a kill mid-append leaves behind.
+  const std::string dir = temp_dir("x_trunc");
+  bench::BenchOptions journaled = exchange_opts();
+  journaled.journal_dir = dir;
+  {
+    bench::BenchReport report("x", journaled);
+    bench::run_exchange_table(run, journaled, &report);
+  }
+  const std::vector<std::string> lines = journal_lines(dir);
+  ASSERT_EQ(lines.size(), 4u);
+  const std::size_t k = 2;
+  {
+    std::ofstream out(fs::path(dir) / "journal.jsonl", std::ios::trunc);
+    for (std::size_t i = 0; i < k; ++i) out << lines[i] << "\n";
+    out << "{\"key\": \"a2a";
+  }
+
+  bench::BenchOptions resumed = journaled;
+  resumed.resume = true;
+  resumed.json_path = dir + ".json";
+  bench::BenchReport report("x", resumed);
+  const auto rows = bench::run_exchange_table(run, resumed, &report);
+  std::size_t restored = 0;
+  for (const bench::ExchangeRow& row : rows) restored += row.point.restored ? 1 : 0;
+  EXPECT_EQ(restored, k);
+  report.write();
+  EXPECT_EQ(normalize_json(resumed.json_path), normalize_json(ref_json));
+}
+
+TEST(ExchangeTable, MaskHalvesJournalTheKeysOfASoloRun) {
+  const ExpandedCampaign plan = exchange_plan();
+  const CampaignRun& run = *plan.steps[0].exchange;
+  SweepRunOptions base = exchange_opts().sweep_options();
+  base.scope = run.title;
+  base.tolerate_failures = true;
+  base.serialize = bench::exchange_row_serializer(run);
+
+  const std::string solo_dir = temp_dir("x_mask_solo");
+  {
+    SweepJournal journal(solo_dir, "m", /*resume=*/false);
+    SweepRunOptions o = base;
+    o.journal = &journal;
+    SweepRunner(o).run(run.series);
+  }
+  const std::string split_dir = temp_dir("x_mask_split");
+  {
+    SweepJournal journal(split_dir, "m", /*resume=*/false);
+    const std::vector<char> first{1, 1, 0, 0};
+    const std::vector<char> second{0, 0, 1, 1};
+    SweepRunOptions o = base;
+    o.journal = &journal;
+    o.jobs = 2;
+    o.selected = &first;
+    SweepRunner(o).run(run.series);
+    o.selected = &second;
+    o.register_scope = false;
+    SweepRunner(o).run(run.series);
+  }
+  auto by_key = [](const std::vector<std::string>& lines) {
+    std::map<std::string, JournalEntry> out;
+    for (const std::string& line : lines) {
+      JournalEntry e;
+      EXPECT_TRUE(SweepJournal::parse_line(line, e)) << line;
+      EXPECT_TRUE(out.emplace(e.key, e).second) << "duplicate key " << e.key;
+    }
+    return out;
+  };
+  const auto solo = by_key(journal_lines(solo_dir));
+  const auto split = by_key(journal_lines(split_dir));
+  ASSERT_EQ(solo.size(), 4u);
+  ASSERT_EQ(split.size(), solo.size());
+  for (const auto& [key, e] : solo) {
+    const auto it = split.find(key);
+    ASSERT_NE(it, split.end()) << key;
+    EXPECT_EQ(it->second.label, e.label);
+    EXPECT_EQ(it->second.topo, e.topo);
+    EXPECT_EQ(it->second.seed, e.seed);
+    EXPECT_EQ(it->second.status, "ok");
+    EXPECT_EQ(it->second.exchange_completed, 1);
+    EXPECT_EQ(it->second.payload, e.payload);
+  }
+}
+
+TEST(ExchangeTable, ThrowingRowIsJournaledFailedAndRerunOnResume) {
+  const ExpandedCampaign plan = exchange_plan();
+  const CampaignRun& run = *plan.steps[0].exchange;
+  // Row 2 (UGAL-L) with no indirect candidates throws in SimStack
+  // construction, inside the point.
+  CampaignRun broken = run;
+  UgalParams p = default_ugal_params(broken.series[2].topo->kind(), false);
+  p.num_indirect = 0;
+  broken.series[2].params = p;
+
+  const std::string dir = temp_dir("x_throw");
+  bench::BenchOptions opts = exchange_opts();
+  opts.journal_dir = dir;
+  {
+    bench::BenchReport report("x", opts);
+    const auto rows = bench::run_exchange_table(broken, opts, &report);
+    ASSERT_EQ(rows.size(), 4u);
+    EXPECT_TRUE(rows[2].point.failed);
+    EXPECT_NE(rows[2].point.error.find("at least one indirect candidate"),
+              std::string::npos)
+        << rows[2].point.error;
+    for (std::size_t s : {0u, 1u, 3u}) EXPECT_FALSE(rows[s].point.failed);
+    EXPECT_EQ(report.finish(), 1);  // a failed row fails the run
+  }
+  auto last_entry = [&](const std::string& key) {
+    JournalEntry found;
+    for (const std::string& line : journal_lines(dir)) {
+      JournalEntry e;
+      if (SweepJournal::parse_line(line, e) && e.key == key) found = e;
+    }
+    return found;
+  };
+  const JournalEntry failed = last_entry(run.title + "#2");
+  EXPECT_EQ(failed.status, "failed");
+  EXPECT_NE(failed.error.find("at least one indirect candidate"), std::string::npos);
+  EXPECT_TRUE(failed.payload.empty());
+
+  // Resume with the row mended: the three good rows restore, the failed
+  // one re-runs and matches a fresh, unjournaled run of that row.
+  opts.resume = true;
+  bench::BenchReport report("x", opts);
+  const auto rows = bench::run_exchange_table(run, opts, &report);
+  for (std::size_t s : {0u, 1u, 3u}) EXPECT_TRUE(rows[s].point.restored);
+  EXPECT_FALSE(rows[2].point.restored);
+  EXPECT_FALSE(rows[2].point.failed);
+  EXPECT_TRUE(rows[2].point.exchange.completed);
+  EXPECT_EQ(last_entry(run.title + "#2").status, "ok");
+  EXPECT_EQ(report.finish(), 0);
+
+  SweepRunner fresh(exchange_opts().sweep_options());
+  const auto points = fresh.run(run.series);
+  EXPECT_EQ(bench::render_exchange_row_json(rows[2]),
+            bench::exchange_row_serializer(run)(2, points[2].front()));
 }
 
 }  // namespace

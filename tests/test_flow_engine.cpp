@@ -345,7 +345,7 @@ TEST(FlowSweep, KillMidSweepThenResumeIsByteIdentical) {
     opts.jobs = 2;
     opts.journal = journal;
     opts.scope = "sweep";
-    opts.serialize = [](const SweepPoint& pt) { return bench::render_point_json(pt); };
+    opts.serialize = [](std::size_t, const SweepPoint& pt) { return bench::render_point_json(pt); };
     return opts;
   };
   const auto temp_dir = [](const std::string& name) {

@@ -28,6 +28,7 @@
 #include "sim/traffic.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
+#include "topology/topology.h"
 
 namespace d2net {
 namespace {
@@ -258,7 +259,7 @@ SweepRunOptions journal_opts(SweepJournal* journal, std::uint64_t seed) {
   opts.config.seed = seed;
   opts.journal = journal;
   opts.scope = "sweep";
-  opts.serialize = [](const SweepPoint& pt) { return bench::render_point_json(pt); };
+  opts.serialize = [](std::size_t, const SweepPoint& pt) { return bench::render_point_json(pt); };
   return opts;
 }
 
@@ -372,6 +373,65 @@ TEST(SweepResume, RejectsEntriesFromADifferentSweep) {
   SweepJournal j(dir, manifest, true);
   SweepRunner runner(journal_opts(&j, 10));
   EXPECT_THROW(runner.run(specs), ArgumentError);
+}
+
+TEST(SweepResume, RefusesEntriesCarryingTheCountOnlyFingerprint) {
+  // Journals written before the wiring fingerprint carried
+  // "r=..,n=..,l=..", which two wirings with equal counts share. Such
+  // entries must hit the located per-entry refusal, never be restored.
+  const Topology sf = build_slim_fly(5);
+  const Topology oft = build_oft(4);
+  const UniformTraffic uni_sf(sf.num_nodes());
+  const UniformTraffic uni_oft(oft.num_nodes());
+  const auto specs = two_series(sf, oft, uni_sf, uni_oft);
+  const std::string dir = temp_dir("old_fingerprint");
+  const std::string manifest = "bench=test\n";
+  {
+    SweepJournal j(dir, manifest, false);
+    SweepRunner runner(journal_opts(&j, 9));
+    runner.run(specs);
+  }
+  const fs::path jpath = fs::path(dir) / "journal.jsonl";
+  std::string text;
+  {
+    std::ifstream in(jpath);
+    std::ostringstream os;
+    os << in.rdbuf();
+    text = os.str();
+  }
+  // The journal records the wiring hash of each series' topology.
+  for (const Topology* t : {&sf, &oft}) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(topology_fingerprint(*t)));
+    const std::string field = std::string("\"topo\": \"") + hex + "\"";
+    const std::string old = "\"topo\": \"r=" + std::to_string(t->num_routers()) +
+                            ",n=" + std::to_string(t->num_nodes()) +
+                            ",l=" + std::to_string(t->num_links()) + "\"";
+    ASSERT_NE(text.find(field), std::string::npos);
+    for (std::size_t pos; (pos = text.find(field)) != std::string::npos;) {
+      text.replace(pos, field.size(), old);
+    }
+  }
+  { std::ofstream(jpath, std::ios::trunc) << text; }
+
+  SweepJournal j(dir, manifest, true);
+  ASSERT_EQ(j.loaded_points(), 6u);
+  SweepRunner runner(journal_opts(&j, 9));
+  try {
+    runner.run(specs);
+    FAIL() << "expected the stale fingerprint to be refused";
+  } catch (const ArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("journal entry 'sweep#0' does not match the "
+                                         "current sweep"),
+              std::string::npos)
+        << e.what();
+  }
+  // Refused before any point ran: nothing was appended.
+  std::ifstream in(jpath);
+  std::ostringstream after;
+  after << in.rdbuf();
+  EXPECT_EQ(after.str(), text);
 }
 
 // --------------------------------------------- per-point deadlines/retries

@@ -67,6 +67,31 @@ TEST(Topology, FinalizeTwiceThrows) {
   EXPECT_THROW(t.add_link(0, 1), ArgumentError);
 }
 
+TEST(TopologyFingerprint, SeparatesWiringsWithEqualCounts) {
+  // Two 4-router, 4-link graphs with one endpoint per router: a ring and a
+  // triangle with a pendant. Counts agree; the wiring hash must not.
+  auto build = [](std::initializer_list<std::pair<int, int>> links) {
+    Topology t("t", TopologyKind::kCustom);
+    for (int i = 0; i < 4; ++i) t.add_router({}, 1);
+    for (const auto& [a, b] : links) t.add_link(a, b);
+    t.finalize();
+    return t;
+  };
+  const Topology ring = build({{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  const Topology pendant = build({{0, 1}, {1, 2}, {2, 0}, {2, 3}});
+  EXPECT_EQ(ring.num_links(), pendant.num_links());
+  EXPECT_NE(topology_fingerprint(ring), topology_fingerprint(pendant));
+  // Same wiring, same hash; endpoint placement is part of the identity.
+  EXPECT_EQ(topology_fingerprint(ring), topology_fingerprint(build({{0, 1}, {1, 2}, {2, 3},
+                                                                   {3, 0}})));
+  Topology moved("t", TopologyKind::kCustom);
+  for (int i = 0; i < 4; ++i) moved.add_router({}, i == 0 ? 2 : i == 1 ? 0 : 1);
+  for (const auto& [a, b] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 0}}) moved.add_link(a, b);
+  moved.finalize();
+  EXPECT_NE(topology_fingerprint(ring), topology_fingerprint(moved));
+  EXPECT_THROW(topology_fingerprint(Topology("open", TopologyKind::kCustom)), ArgumentError);
+}
+
 // ---------------------------------------------------------------- Slim Fly
 
 struct SfCase {
